@@ -9,15 +9,17 @@
 //	dtaint -fw camera.fwimg -rootfs-all  # scan every executable in the image
 //
 // -ablate takes a comma-separated feature list (alias, sse, structsim,
-// vrange) and disables those analyses; -no-alias and -no-structsim are
-// the older spellings of two of them. Ablating sse turns off structured
-// symbolic expressions: alias rewriting falls back to the paper's
-// pairwise Algorithm 1 and indirect calls are resolved by layout
-// similarity alone. Ablating vrange turns off the
-// interval value-range domain: verdicts fall back to structural bounds
-// and the off-by-one/length-truncation classes disappear. -paths prints
-// every vulnerable path rather than the deduplicated vulnerability
-// list; -all also prints sanitized paths.
+// vrange) and disables those analyses — the same syntax as dtaintd's.
+// Ablating sse turns off structured symbolic expressions: alias
+// rewriting falls back to the paper's pairwise Algorithm 1 and indirect
+// calls are resolved by layout similarity alone. Ablating vrange turns
+// off the interval value-range domain: verdicts fall back to structural
+// bounds and the off-by-one/length-truncation classes disappear. -paths
+// prints every vulnerable path rather than the deduplicated
+// vulnerability list; -all also prints sanitized paths. -json prints
+// the report in the schema dtaintd serves (every finding, sanitized
+// ones flagged, with its CWE and evidence); -paths and -all shape only
+// the text output.
 // -workers N sets the worker count for both parallel analysis phases —
 // the per-function pass and the bottom-up SCC-DAG scheduler (0, the
 // default, uses GOMAXPROCS; negative values are rejected).
@@ -79,12 +81,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"dtaint"
 	"dtaint/internal/asm"
 	"dtaint/internal/cfg"
+	"dtaint/internal/dataflow"
 	"dtaint/internal/firmware"
 	"dtaint/internal/image"
 	"dtaint/internal/obs"
@@ -98,8 +100,6 @@ func main() {
 		exePath   = flag.String("exe", "", "program executable file (FWELF)")
 		binPath   = flag.String("bin", "", "path of the binary inside the firmware rootfs")
 		module    = flag.String("module", "", "restrict analysis to a study product's network module")
-		noAlias   = flag.Bool("no-alias", false, "disable pointer-alias recognition (Algorithm 1)")
-		noSim     = flag.Bool("no-structsim", false, "disable data-structure similarity resolution")
 		ablate    = flag.String("ablate", "", "comma-separated analysis features to disable: alias, sse, structsim, vrange")
 		paths     = flag.Bool("paths", false, "print every vulnerable path, not just deduplicated vulnerabilities")
 		showAll   = flag.Bool("all", false, "also print sanitized paths")
@@ -133,15 +133,10 @@ func main() {
 	o := cliOptions{
 		fwPath: *fwPath, exePath: *exePath, binPath: *binPath,
 		module: *module, mdOut: *mdOut, workers: *workers,
-		noAlias: *noAlias, noSim: *noSim,
-		paths: *paths, showAll: *showAll, dis: *dis, jsonOut: *jsonOut,
+		ablate: *ablate, paths: *paths, showAll: *showAll, dis: *dis, jsonOut: *jsonOut,
 		cacheDir: *cacheDir, sumDir: *sumDir, traceOut: *traceOut, progress: *progress,
 		stallWait: *stallWait, debugDir: *debugDir,
 		logLevel: *logLevel, logFormat: *logFormat, vocabPath: *vocabPath,
-	}
-	if err := o.applyAblations(*ablate); err != nil {
-		fmt.Fprintln(os.Stderr, "dtaint:", err)
-		os.Exit(1)
 	}
 	// vulnPaths drives -exit-code: vulnerable paths for scans, NEW
 	// findings for diffs (persisting findings don't fail a release gate).
@@ -182,8 +177,7 @@ type cliOptions struct {
 	fwPath, exePath, binPath string
 	module, mdOut            string
 	workers                  int
-	noAlias, noSSE           bool
-	noSim, noVRange          bool
+	ablate                   string
 	paths, showAll           bool
 	dis, jsonOut             bool
 	cacheDir, sumDir         string
@@ -193,43 +187,6 @@ type cliOptions struct {
 	debugDir                 string
 	logLevel, logFormat      string
 	vocabPath                string
-}
-
-// vocabulary loads the -vocab spec; an empty path keeps the embedded
-// default and returns no option. Malformed specs abort with the vocab
-// package's line/field-precise error.
-func (o cliOptions) vocabulary() ([]dtaint.Option, error) {
-	if o.vocabPath == "" {
-		return nil, nil
-	}
-	v, err := dtaint.LoadVocabulary(o.vocabPath)
-	if err != nil {
-		return nil, err
-	}
-	return []dtaint.Option{dtaint.WithVocabulary(v)}, nil
-}
-
-// applyAblations folds the -ablate list into the feature switches.
-func (o *cliOptions) applyAblations(list string) error {
-	if list == "" {
-		return nil
-	}
-	for _, name := range strings.Split(list, ",") {
-		switch strings.TrimSpace(name) {
-		case "alias":
-			o.noAlias = true
-		case "sse":
-			o.noSSE = true
-		case "structsim":
-			o.noSim = true
-		case "vrange":
-			o.noVRange = true
-		case "":
-		default:
-			return fmt.Errorf("unknown -ablate feature %q (want alias, sse, structsim, or vrange)", name)
-		}
-	}
-	return nil
 }
 
 // observability translates the tracing/progress/logging flags into
@@ -277,31 +234,42 @@ func (o cliOptions) observability() (opts []dtaint.Option, flush func() error, e
 	return opts, flush, nil
 }
 
-// analyzerOptions translates the shared flags into library options.
-func analyzerOptions(module string, workers int, noAlias, noSSE, noSim, noVRange bool) []dtaint.Option {
+// analysisOptions translates the analysis flags (-ablate, -vocab, and
+// the given module filter and worker count) into library options.
+// Malformed ablation lists and vocabulary specs abort here, before any
+// analysis starts.
+func (o cliOptions) analysisOptions(module string, workers int) ([]dtaint.Option, error) {
+	var ablated dataflow.Options
+	if err := ablated.Ablate(o.ablate); err != nil {
+		return nil, err
+	}
 	var opts []dtaint.Option
-	if noAlias {
+	if ablated.DisableAlias {
 		opts = append(opts, dtaint.WithoutAliasAnalysis())
 	}
-	if noSSE {
+	if ablated.DisableSSE {
 		opts = append(opts, dtaint.WithoutSSE())
 	}
-	if noSim {
+	if ablated.DisableStructSim {
 		opts = append(opts, dtaint.WithoutStructSimilarity())
 	}
-	if noVRange {
+	if ablated.DisableVRange {
 		opts = append(opts, dtaint.WithoutValueRange())
 	}
-	if module != "" {
-		filter := dtaint.StudyModuleFilter(module)
-		if filter != nil {
-			opts = append(opts, dtaint.WithFunctionFilter(filter))
+	if o.vocabPath != "" {
+		v, err := dtaint.LoadVocabulary(o.vocabPath)
+		if err != nil {
+			return nil, err
 		}
+		opts = append(opts, dtaint.WithVocabulary(v))
+	}
+	if filter := dtaint.StudyModuleFilter(module); filter != nil {
+		opts = append(opts, dtaint.WithFunctionFilter(filter))
 	}
 	if workers > 0 {
 		opts = append(opts, dtaint.WithParallelism(workers))
 	}
-	return opts
+	return opts, nil
 }
 
 // fleetOptions translates the shared orchestration flags (-workers,
@@ -357,12 +325,11 @@ func runFleet(o cliOptions) (int, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	vopts, err := o.vocabulary()
+	more, err := o.analysisOptions("", 0)
 	if err != nil {
 		return 0, 0, err
 	}
-	aopts = append(aopts, vopts...)
-	aopts = append(aopts, analyzerOptions("", 0, o.noAlias, o.noSSE, o.noSim, o.noVRange)...)
+	aopts = append(aopts, more...)
 	a := dtaint.New(aopts...)
 	img, err := a.ScanFirmwareFleet(context.Background(), data, fopts...)
 	if err != nil {
@@ -372,9 +339,7 @@ func runFleet(o cliOptions) (int, int, error) {
 		return 0, 0, err
 	}
 	if o.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return img.VulnerablePaths, img.Stalled, enc.Encode(img)
+		return img.VulnerablePaths, img.Stalled, encodeJSON(img)
 	}
 	fmt.Printf("image %s %s %s (%d): %d candidate binaries\n",
 		img.Vendor, img.Product, img.Version, img.Year, img.Candidates)
@@ -382,7 +347,7 @@ func runFleet(o cliOptions) (int, int, error) {
 		switch b.Status {
 		case dtaint.BinaryOK, dtaint.BinaryCached:
 			fmt.Printf("  %-32s %-7s %3d vulnerabilities, %3d paths  (%v)\n",
-				b.Path, b.Status, len(b.Report.Vulnerabilities()), len(b.Report.VulnerablePaths()), b.Duration)
+				b.Path, b.Status, len(b.Analysis.Vulnerabilities()), len(b.Analysis.VulnerablePaths()), b.Duration)
 		default:
 			fmt.Printf("  %-32s %-7s %s\n", b.Path, b.Status, b.Error)
 		}
@@ -421,12 +386,11 @@ func runDiff(o cliOptions, oldPath, newPath string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	vopts, err := o.vocabulary()
+	more, err := o.analysisOptions("", 0)
 	if err != nil {
 		return 0, err
 	}
-	aopts = append(aopts, vopts...)
-	aopts = append(aopts, analyzerOptions("", 0, o.noAlias, o.noSSE, o.noSim, o.noVRange)...)
+	aopts = append(aopts, more...)
 	rep, err := dtaint.New(aopts...).ScanFirmwareDiff(context.Background(), oldData, newData, fopts...)
 	if err != nil {
 		return 0, err
@@ -450,9 +414,7 @@ func runDiff(o cliOptions, oldPath, newPath string) (int, error) {
 		return rep.NewFindings, nil
 	}
 	if o.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return rep.NewFindings, enc.Encode(rep)
+		return rep.NewFindings, encodeJSON(rep)
 	}
 	fmt.Printf("diff %s %s: %s → %s\n", rep.New.Vendor, rep.New.Product,
 		rep.Old.Version, rep.New.Version)
@@ -474,12 +436,13 @@ func runDiff(o cliOptions, oldPath, newPath string) (int, error) {
 		}
 		fmt.Printf("  %-32s %-9s %d new, %d fixed, %d persisting\n",
 			name, b.Status, b.New, b.Fixed, b.Persisting)
-		for _, f := range b.Findings {
-			if f.Status != dtaint.FindingNew {
+		for _, fd := range b.Findings {
+			if fd.Status != dtaint.FindingNew {
 				continue
 			}
+			f := fd.Finding
 			fmt.Printf("    NEW %s: %s -> %s in %s@%#x (%d paths)\n",
-				f.Class, f.Source, f.Sink, f.SinkFunc, f.SinkAddr, f.Paths)
+				f.Class, f.Source, f.Sink, f.SinkFunc, f.SinkAddr, fd.Paths)
 		}
 	}
 	fmt.Printf("findings: %d new, %d fixed, %d persisting\n",
@@ -512,12 +475,11 @@ func run(o cliOptions) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	vopts, err := o.vocabulary()
+	more, err := o.analysisOptions(o.module, o.workers)
 	if err != nil {
 		return 0, err
 	}
-	aopts = append(aopts, vopts...)
-	aopts = append(aopts, analyzerOptions(o.module, o.workers, o.noAlias, o.noSSE, o.noSim, o.noVRange)...)
+	aopts = append(aopts, more...)
 	if o.sumDir != "" {
 		store, err := dtaint.NewSummaryStore(0, o.sumDir)
 		if err != nil {
@@ -550,7 +512,7 @@ func run(o cliOptions) (int, error) {
 		return vulnPaths, nil
 	}
 	if o.jsonOut {
-		return vulnPaths, writeJSON(rep, o.showAll)
+		return vulnPaths, encodeJSON(rep)
 	}
 
 	fmt.Printf("binary %s (%s): %d functions, %d blocks, %d call edges\n",
@@ -617,71 +579,12 @@ func runTrace(fwPath, exePath, binPath, fnName string) error {
 	return nil
 }
 
-// jsonReport is the machine-readable output schema.
-type jsonReport struct {
-	Binary            string        `json:"binary"`
-	Arch              string        `json:"arch"`
-	Functions         int           `json:"functions"`
-	Blocks            int           `json:"blocks"`
-	CallEdges         int           `json:"callEdges"`
-	FunctionsAnalyzed int           `json:"functionsAnalyzed"`
-	SinkCount         int           `json:"sinkCount"`
-	IndirectResolved  int           `json:"indirectResolved"`
-	SSAMillis         int64         `json:"ssaMillis"`
-	DDGMillis         int64         `json:"ddgMillis"`
-	DDGWorkers        int           `json:"ddgWorkers"`
-	SCCComponents     int           `json:"sccComponents"`
-	CriticalPath      int           `json:"criticalPath"`
-	Findings          []jsonFinding `json:"findings"`
-}
-
-type jsonFinding struct {
-	Class     string   `json:"class"`
-	CWE       string   `json:"cwe"`
-	Sink      string   `json:"sink"`
-	SinkFunc  string   `json:"sinkFunc"`
-	SinkAddr  uint32   `json:"sinkAddr"`
-	Source    string   `json:"source"`
-	Path      []string `json:"path"`
-	Sanitized bool     `json:"sanitized"`
-	Evidence  []string `json:"evidence,omitempty"`
-}
-
-func writeJSON(rep *dtaint.Report, includeSanitized bool) error {
-	out := jsonReport{
-		Binary:            rep.Binary,
-		Arch:              rep.Arch,
-		Functions:         rep.Functions,
-		Blocks:            rep.Blocks,
-		CallEdges:         rep.CallEdges,
-		FunctionsAnalyzed: rep.FunctionsAnalyzed,
-		SinkCount:         rep.SinkCount,
-		IndirectResolved:  rep.IndirectResolved,
-		SSAMillis:         rep.SSATime.Milliseconds(),
-		DDGMillis:         rep.DDGTime.Milliseconds(),
-		DDGWorkers:        rep.DDGWorkers,
-		SCCComponents:     rep.SCCComponents,
-		CriticalPath:      rep.CriticalPath,
-	}
-	for _, f := range rep.Findings {
-		if f.Sanitized && !includeSanitized {
-			continue
-		}
-		out.Findings = append(out.Findings, jsonFinding{
-			Class:     string(f.Class),
-			CWE:       f.CWE(),
-			Sink:      f.Sink,
-			SinkFunc:  f.SinkFunc,
-			SinkAddr:  f.SinkAddr,
-			Source:    f.Source,
-			Path:      f.Path,
-			Sanitized: f.Sanitized,
-			Evidence:  f.Evidence,
-		})
-	}
+// encodeJSON prints a report in its wire schema — the one dtaintd
+// serves and the fleet cache stores.
+func encodeJSON(v any) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(v)
 }
 
 func loadExecutable(fwPath, exePath, binPath string) ([]byte, error) {

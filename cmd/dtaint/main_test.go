@@ -67,7 +67,7 @@ func TestRunFirmware(t *testing.T) {
 	}
 	// Ablations.
 	o = base
-	o.noAlias, o.noSim = true, true
+	o.ablate = "alias,structsim"
 	if _, err := run(o); err != nil {
 		t.Fatal(err)
 	}

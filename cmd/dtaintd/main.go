@@ -18,6 +18,11 @@
 // store, and the job's report classifies every finding as new, fixed,
 // or persisting across the two versions.
 //
+// Every job analyzes with the dtaint CLI's defaults; -ablate takes the
+// CLI's comma-separated feature list (alias, sse, structsim, vrange) to
+// disable analyses server-wide. Reports use the same JSON schema as
+// dtaint -json, so served, cached, and CLI reports compare directly.
+//
 // The second upload form is multipart: the optional vocab part is a
 // JSON source/sink/sanitizer vocabulary (DESIGN.md §3.5) overriding
 // the server's default for that job only; -vocab file.json changes
@@ -80,6 +85,7 @@ import (
 	"syscall"
 	"time"
 
+	"dtaint/internal/dataflow"
 	"dtaint/internal/fleet"
 	"dtaint/internal/obs"
 	"dtaint/internal/obs/events"
@@ -99,9 +105,7 @@ func main() {
 		sumSize     = flag.Int("summary-size", 4096, "in-memory function-summary store entries")
 		sumDir      = flag.String("summary-dir", "", "persistent function-summary store directory (empty = memory only)")
 		maxUpload   = flag.Int64("max-upload", 256<<20, "maximum firmware upload bytes")
-		noAlias     = flag.Bool("no-alias", false, "disable pointer-alias recognition (Algorithm 1)")
-		noSSE       = flag.Bool("no-sse", false, "disable structured-symbolic-expression alias classes (fall back to Algorithm 1 + pure structsim)")
-		noSim       = flag.Bool("no-structsim", false, "disable data-structure similarity resolution")
+		ablate      = flag.String("ablate", "", "comma-separated analysis features to disable: alias, sse, structsim, vrange")
 		vocabPath   = flag.String("vocab", "", "default source/sink/sanitizer vocabulary spec (JSON; empty = embedded default)")
 		drainWait   = flag.Duration("drain", 5*time.Minute, "shutdown grace for the running job")
 		drainNotice = flag.Duration("drain-notice", 0, "delay between flipping /readyz to 503 and stopping the listener")
@@ -119,7 +123,7 @@ func main() {
 		sumSize: *sumSize, sumDir: *sumDir,
 		jobTimeout: *jobTimeout, drainWait: *drainWait, drainNotice: *drainNotice,
 		journalSize: *journalSize, stallWait: *stallWait, debugDir: *debugDir,
-		noAlias: *noAlias, noSSE: *noSSE, noSim: *noSim, vocabPath: *vocabPath,
+		ablate: *ablate, vocabPath: *vocabPath,
 		logLevel: *logLevel, logFormat: *logFormat, pprofAddr: *pprofAddr,
 	}
 	if err := run(opts); err != nil {
@@ -144,30 +148,32 @@ type serveOptions struct {
 	journalSize int
 	stallWait   time.Duration
 	debugDir    string
-	noAlias     bool
-	noSSE       bool
-	noSim       bool
+	ablate      string
 	vocabPath   string
 	logLevel    string
 	logFormat   string
 	pprofAddr   string
 }
 
-func run(o serveOptions) error {
+// config builds the service configuration from the flags: the shared
+// report cache and summary store, and the analysis options — the same
+// defaults as the dtaint CLI (dataflow.DefaultOptions), so the two share
+// cache entries and report identical findings.
+func (o serveOptions) config() (config, error) {
 	if o.workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", o.workers)
+		return config{}, fmt.Errorf("-workers must be >= 0, got %d", o.workers)
 	}
 	logger, err := obs.NewLogger(os.Stderr, o.logLevel, o.logFormat)
 	if err != nil {
-		return err
+		return config{}, err
 	}
 	cache, err := fleet.NewCache(o.cacheSize, o.cacheDir)
 	if err != nil {
-		return err
+		return config{}, err
 	}
 	store, err := sumstore.NewStore(o.sumSize, o.sumDir)
 	if err != nil {
-		return err
+		return config{}, err
 	}
 	cfg := config{
 		workers:       o.workers,
@@ -176,6 +182,7 @@ func run(o serveOptions) error {
 		maxUpload:     o.maxUpload,
 		cache:         cache,
 		sumStore:      store,
+		analysis:      dataflow.DefaultOptions(),
 		metrics:       obs.NewRegistry(),
 		log:           logger,
 		stallTimeout:  o.stallWait,
@@ -184,23 +191,30 @@ func run(o serveOptions) error {
 	if o.journalSize > 0 {
 		cfg.journal = events.NewJournal(o.journalSize)
 	}
-	cfg.analysis.DisableAlias = o.noAlias
-	cfg.analysis.DisableSSE = o.noSSE
-	cfg.analysis.DisableStructSim = o.noSim
+	if err := cfg.analysis.Ablate(o.ablate); err != nil {
+		return config{}, err
+	}
 	if o.vocabPath != "" {
 		spec, err := vocab.Load(o.vocabPath)
 		if err != nil {
-			return err
+			return config{}, err
 		}
 		v, err := taint.CompileVocabulary(spec)
 		if err != nil {
-			return err
+			return config{}, err
 		}
 		cfg.analysis.Vocab = v
 	}
 	cfg.analysis.Metrics = cfg.metrics
 	cfg.analysis.Log = logger
+	return cfg, nil
+}
 
+func run(o serveOptions) error {
+	cfg, err := o.config()
+	if err != nil {
+		return err
+	}
 	s := newServer(cfg)
 	s.start()
 

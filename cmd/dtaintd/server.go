@@ -297,10 +297,22 @@ func (s *server) runJob(j *job) {
 }
 
 func (s *server) finishJob(j *job, rep *fleet.ImageReport, drep *diff.Report, err error) {
-	// The terminal event is journaled BEFORE the job state flips: an SSE
-	// handler that subscribes and then sees a terminal state is thereby
-	// guaranteed the job.done/job.failed event is already in (or before)
-	// its subscription window — never still in flight.
+	// The outcome is stored BEFORE the terminal event is journaled, so a
+	// client that fetches the report as soon as it sees job.done never
+	// gets 409. The terminal event is journaled BEFORE the job state
+	// flips: an SSE handler that subscribes and then sees a terminal
+	// state is thereby guaranteed the job.done/job.failed event is
+	// already in (or before) its subscription window — never still in
+	// flight.
+	s.mu.Lock()
+	j.data, j.newData = nil, nil
+	if err != nil {
+		j.err = err.Error()
+	} else {
+		j.report, j.diffReport = rep, drep
+	}
+	s.mu.Unlock()
+
 	em := s.cfg.journal.Emitter(j.id)
 	switch {
 	case err != nil:
@@ -321,15 +333,11 @@ func (s *server) finishJob(j *job, rep *fleet.ImageReport, drep *diff.Report, er
 	s.mu.Lock()
 	j.finished = time.Now()
 	elapsed := j.finished.Sub(j.started)
-	j.data, j.newData = nil, nil
 	if err != nil {
 		j.state = stateFailed
-		j.err = err.Error()
 		s.jobsFailed++
 	} else {
 		j.state = stateDone
-		j.report = rep
-		j.diffReport = drep
 		if rep != nil {
 			j.done, j.total = rep.Candidates, rep.Candidates
 			if j.stalled = rep.Stalled; j.stalled > 0 {
@@ -376,7 +384,7 @@ func (s *server) handler() http.Handler {
 
 // handleHealthz is the liveness probe: the process is up and serving.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{"status": "ok"})
+	respond(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
 // handleReadyz is the readiness probe: 200 while the server should
@@ -384,18 +392,18 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // is saturated (new scans would bounce with 429 anyway).
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeJSONStatus(w, http.StatusServiceUnavailable,
+		respond(w, http.StatusServiceUnavailable,
 			map[string]any{"ready": false, "reason": "draining"})
 		return
 	}
 	depth, capacity := len(s.queue), cap(s.queue)
 	if depth >= capacity {
-		writeJSONStatus(w, http.StatusServiceUnavailable,
+		respond(w, http.StatusServiceUnavailable,
 			map[string]any{"ready": false, "reason": "queue saturated",
 				"queueDepth": depth, "queueCap": capacity})
 		return
 	}
-	writeJSON(w, map[string]any{"ready": true, "queueDepth": depth, "queueCap": capacity})
+	respond(w, http.StatusOK, map[string]any{"ready": true, "queueDepth": depth, "queueCap": capacity})
 }
 
 // handleJobEvents streams one job's telemetry as Server-Sent Events:
@@ -582,7 +590,7 @@ func (s *server) enqueue(w http.ResponseWriter, j *job) {
 		if s.cfg.log != nil {
 			s.cfg.log.Info("job accepted", "job", j.id, "kind", j.kind, "bytes", bytes)
 		}
-		writeJSONStatus(w, http.StatusAccepted, map[string]string{"id": j.id, "state": stateQueued})
+		respond(w, http.StatusAccepted, map[string]string{"id": j.id, "state": stateQueued})
 	default:
 		s.mu.Lock()
 		delete(s.jobs, j.id)
@@ -673,7 +681,7 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, s.view(j))
+	respond(w, http.StatusOK, s.view(j))
 }
 
 func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -682,17 +690,17 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
+	// The outcome fields are set before the terminal event and state
+	// flip (see finishJob), so they — not the state — decide readiness.
 	s.mu.Lock()
 	state, errMsg, rep, drep := j.state, j.err, j.report, j.diffReport
 	s.mu.Unlock()
-	switch state {
-	case stateDone, stateStalled:
-		if drep != nil {
-			writeJSON(w, drep)
-			return
-		}
-		writeJSON(w, rep)
-	case stateFailed:
+	switch {
+	case drep != nil:
+		respond(w, http.StatusOK, drep)
+	case rep != nil:
+		respond(w, http.StatusOK, rep)
+	case errMsg != "":
 		httpError(w, http.StatusUnprocessableEntity, "scan failed: "+errMsg)
 	default:
 		w.Header().Set("Retry-After", "2")
@@ -750,7 +758,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m.Metrics = reg.Snapshot()
-	writeJSON(w, m)
+	respond(w, http.StatusOK, m)
 }
 
 // wantsPrometheus reports whether the request prefers the Prometheus
@@ -790,11 +798,7 @@ func (s *server) view(j *job) jobView {
 	return v
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	writeJSONStatus(w, http.StatusOK, v)
-}
-
-func writeJSONStatus(w http.ResponseWriter, code int, v any) {
+func respond(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)

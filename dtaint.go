@@ -31,14 +31,12 @@ package dtaint
 import (
 	"errors"
 	"fmt"
-	"strings"
-	"time"
 
-	"dtaint/internal/cfg"
 	"dtaint/internal/corpus"
 	"dtaint/internal/dataflow"
 	"dtaint/internal/emul"
 	"dtaint/internal/firmware"
+	"dtaint/internal/fleet"
 	"dtaint/internal/image"
 	"dtaint/internal/obs"
 	"dtaint/internal/obs/events"
@@ -47,157 +45,31 @@ import (
 	"dtaint/internal/vocab"
 )
 
-// Class is a vulnerability class.
-type Class string
+// The report types are the internal wire types themselves: the library
+// API, dtaint -json, the fleet report cache, and dtaintd all carry the
+// same values and encode them with the same JSON schema.
+type (
+	// Class is a vulnerability class.
+	Class = fleet.Class
+	// Finding is one (source, path, sink) tuple discovered by the
+	// analysis. Its CWE field is the class's weakness identifier and its
+	// Evidence the constraint/interval chain behind the verdict.
+	Finding = fleet.Finding
+	// Report is the result of analyzing one firmware binary.
+	// Vulnerabilities deduplicates its vulnerable paths by sink location;
+	// VulnerablePaths lists them all.
+	Report = fleet.BinaryAnalysis
+)
 
 // Vulnerability classes.
 const (
-	ClassBufferOverflow   Class = "buffer-overflow"
-	ClassCommandInjection Class = "command-injection"
-	// ClassOffByOne marks a copy whose proven length bound equals the
-	// destination capacity exactly: the NUL terminator (or an inclusive
-	// `<=` guard) overruns the buffer by a single byte.
-	ClassOffByOne Class = "off-by-one"
-	// ClassLengthTruncation marks a tainted length narrowed through a
-	// 1-byte store: the truncated value defeats any later bound check.
-	ClassLengthTruncation Class = "length-truncation"
-	// ClassFormatString marks attacker-controlled data reaching the
-	// format argument of a printf-family sink.
-	ClassFormatString Class = "format-string"
-	// ClassPathTraversal marks attacker-controlled data reaching the
-	// path argument of a file operation without a '.'-probe.
-	ClassPathTraversal Class = "path-traversal"
+	ClassBufferOverflow   = fleet.ClassBufferOverflow
+	ClassCommandInjection = fleet.ClassCommandInjection
+	ClassOffByOne         = fleet.ClassOffByOne
+	ClassLengthTruncation = fleet.ClassLengthTruncation
+	ClassFormatString     = fleet.ClassFormatString
+	ClassPathTraversal    = fleet.ClassPathTraversal
 )
-
-// Finding is one (source, path, sink) tuple discovered by the analysis.
-type Finding struct {
-	// Class is the vulnerability class implied by the sink.
-	Class Class
-	// Sink is the sensitive function (Table I) or "loop" for loop copies.
-	Sink string
-	// SinkFunc is the firmware function containing the sink.
-	SinkFunc string
-	// SinkAddr is the sink callsite address.
-	SinkAddr uint32
-	// Source is the attacker-controlled input function.
-	Source string
-	// Path is the call-chain from the sink function up to where the taint
-	// enters, innermost first.
-	Path []string
-	// Sanitized reports whether a constraint on the tainted data was
-	// found; sanitized paths are not vulnerabilities.
-	Sanitized bool
-	// Evidence is the constraint/interval chain behind the verdict: which
-	// proven bound (or absence of one) decided Sanitized and Class.
-	Evidence []string
-}
-
-// CWE returns the finding's Common Weakness Enumeration identifier:
-// CWE-121 (stack-based buffer overflow), CWE-78 (OS command injection),
-// CWE-193 (off-by-one error), CWE-197 (numeric truncation error),
-// CWE-134 (externally-controlled format string), or CWE-22 (path
-// traversal).
-func (f Finding) CWE() string {
-	switch f.Class {
-	case ClassCommandInjection:
-		return "CWE-78"
-	case ClassOffByOne:
-		return "CWE-193"
-	case ClassLengthTruncation:
-		return "CWE-197"
-	case ClassFormatString:
-		return "CWE-134"
-	case ClassPathTraversal:
-		return "CWE-22"
-	}
-	return "CWE-121"
-}
-
-// String renders the finding as a one-line report.
-func (f Finding) String() string {
-	state := "VULNERABLE"
-	if f.Sanitized {
-		state = "sanitized"
-	}
-	return fmt.Sprintf("[%s] %s -> %s in %s@%#x (%s) via %s",
-		state, f.Source, f.Sink, f.SinkFunc, f.SinkAddr, f.Class,
-		strings.Join(f.Path, " <- "))
-}
-
-// Report is the result of analyzing one firmware binary.
-type Report struct {
-	// Binary is the analyzed executable's name.
-	Binary string
-	// Arch is the executable's architecture flavor ("ARM" or "MIPS").
-	Arch string
-	// Functions, Blocks, and CallEdges summarize the recovered program
-	// (the Table II columns).
-	Functions int
-	Blocks    int
-	CallEdges int
-	// FunctionsAnalyzed is the size of the analyzed subset.
-	FunctionsAnalyzed int
-	// SinkCount is the number of static sensitive-sink sites.
-	SinkCount int
-	// IndirectResolved counts indirect calls bound by layout similarity.
-	IndirectResolved int
-	// DefPairs is the total number of definition pairs in the generated
-	// data flow (a size measure of the DDG).
-	DefPairs int
-	// Truncated counts functions whose symbolic exploration hit the state
-	// budget (their summaries are partial; raise WithStateBudget if > 0).
-	Truncated int
-	// SSATime and DDGTime are the two analysis phases' durations
-	// (the Table VII columns).
-	SSATime time.Duration
-	DDGTime time.Duration
-	// DDGWorkers, SCCComponents, and CriticalPath describe the parallel
-	// bottom-up phase: the worker count its SCC-DAG scheduler ran with,
-	// the number of call-graph components scheduled, and the longest
-	// chain of dependent components (the parallelism ceiling).
-	DDGWorkers    int
-	SCCComponents int
-	CriticalPath  int
-	// Runtime snapshots the Go runtime (heap, goroutines, GC) at the
-	// moment the analysis finished.
-	Runtime RuntimeStats
-	// Findings are all discovered source→sink paths, including sanitized
-	// ones.
-	Findings []Finding
-}
-
-// VulnerablePaths returns the unsanitized findings (the paper's
-// "vulnerable paths").
-func (r *Report) VulnerablePaths() []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if !f.Sanitized {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Vulnerabilities deduplicates vulnerable paths by sink location: several
-// paths may reach the same weak sink.
-func (r *Report) Vulnerabilities() []Finding {
-	seen := make(map[string]bool)
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.Sanitized {
-			continue
-		}
-		// Same key helper as the internal Result, so the public and
-		// internal vulnerability counts cannot diverge.
-		key := taint.VulnKey(f.SinkFunc, f.Sink, f.SinkAddr, string(f.Class))
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, f)
-	}
-	return out
-}
 
 // Option configures an Analyzer.
 type Option func(*Analyzer)
@@ -300,15 +172,8 @@ func WithReturningSource(name string) Option {
 // the check applies to the data itself).
 func WithSink(name string, class Class, dataArg, lenArg int) Option {
 	return func(a *Analyzer) {
-		var c taint.Class
-		switch class {
-		case ClassCommandInjection:
-			c = taint.ClassCommandInjection
-		case ClassFormatString:
-			c = taint.ClassFormatString
-		case ClassPathTraversal:
-			c = taint.ClassPathTraversal
-		default:
+		c := taint.ClassFromVocab(string(class))
+		if c == 0 {
 			c = taint.ClassBufferOverflow
 		}
 		a.opts.ExtraSinks = append(a.opts.ExtraSinks,
@@ -394,8 +259,7 @@ type Analyzer struct {
 
 // New returns an Analyzer with the paper's default configuration.
 func New(opts ...Option) *Analyzer {
-	a := &Analyzer{}
-	a.opts.Symexec.LoopOnce = true
+	a := &Analyzer{opts: dataflow.DefaultOptions()}
 	for _, o := range opts {
 		o(a)
 	}
@@ -430,91 +294,24 @@ func (a *Analyzer) AnalyzeFirmware(data []byte, binaryPath string) (*Report, err
 		return nil, fmt.Errorf("unpack firmware: %w", err)
 	}
 	st.End("files", len(fs.Files))
-	var raw []byte
 	if binaryPath != "" {
 		f, err := fs.Lookup(binaryPath)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %q", ErrNoBinary, binaryPath)
 		}
-		raw = f.Data
-	} else {
-		for _, f := range fs.Files {
-			if _, err := image.Parse(f.Data); err == nil {
-				raw = f.Data
-				break
-			}
-		}
-		if raw == nil {
-			return nil, ErrNoBinary
+		return fleet.AnalyzeBinary(f, a.opts)
+	}
+	for _, f := range fs.Files {
+		if _, err := image.Parse(f.Data); err == nil {
+			return fleet.AnalyzeBinary(f, a.opts)
 		}
 	}
-	return a.AnalyzeExecutable(raw)
+	return nil, ErrNoBinary
 }
 
 // AnalyzeExecutable analyzes a serialized program image (FWELF bytes).
 func (a *Analyzer) AnalyzeExecutable(data []byte) (*Report, error) {
-	st := a.opts.StartStage("parse-image", obs.KV("bytes", len(data)))
-	bin, err := image.Parse(data)
-	if err != nil {
-		st.End()
-		return nil, fmt.Errorf("parse executable: %w", err)
-	}
-	st.End("binary", bin.Name, "arch", bin.Arch.String())
-	return a.analyze(bin)
-}
-
-func (a *Analyzer) analyze(bin *image.Binary) (*Report, error) {
-	st := a.opts.StartStage("build-cfg", obs.KV("binary", bin.Name))
-	prog, err := cfg.Build(bin)
-	if err != nil {
-		st.End()
-		return nil, fmt.Errorf("recover CFG: %w", err)
-	}
-	cfgStats := prog.Stats()
-	st.End("functions", cfgStats.Functions, "blocks", cfgStats.Blocks)
-	res, err := dataflow.Analyze(prog, a.opts)
-	if err != nil {
-		return nil, fmt.Errorf("analyze: %w", err)
-	}
-	st2 := prog.Stats()
-	rep := &Report{
-		Binary:            bin.Name,
-		Arch:              bin.Arch.String(),
-		Functions:         st2.Functions,
-		Blocks:            st2.Blocks,
-		CallEdges:         st2.CallGraphEdges,
-		FunctionsAnalyzed: res.FunctionsAnalyzed,
-		SinkCount:         res.SinkCount,
-		IndirectResolved:  len(res.Resolutions),
-		DefPairs:          res.DefPairCount,
-		Truncated:         res.Truncated,
-		SSATime:           res.SSATime,
-		DDGTime:           res.DDGTime,
-		DDGWorkers:        res.Parallel.Workers,
-		SCCComponents:     res.Parallel.Components,
-		CriticalPath:      res.Parallel.CriticalPath,
-		Runtime:           publicRuntimeStats(obs.CaptureRuntimeStats()),
-	}
-	for _, f := range res.Findings {
-		rep.Findings = append(rep.Findings, publicFinding(f))
-	}
-	return rep, nil
-}
-
-func publicFinding(f taint.Finding) Finding {
-	out := Finding{
-		Class:     Class(f.Class.String()),
-		Sink:      f.Sink,
-		SinkFunc:  f.SinkFunc,
-		SinkAddr:  f.SinkAddr,
-		Source:    f.Source,
-		Sanitized: f.Sanitized,
-		Evidence:  append([]string(nil), f.Evidence...),
-	}
-	for _, s := range f.Path {
-		out.Path = append(out.Path, s.String())
-	}
-	return out
+	return fleet.AnalyzeBinary(firmware.File{Path: "executable", Data: data}, a.opts)
 }
 
 // Sources returns the attacker-controlled input functions of Table I.

@@ -21,7 +21,7 @@ func Example() {
 	fmt.Printf("%d vulnerabilities over %d paths\n",
 		len(report.Vulnerabilities()), len(report.VulnerablePaths()))
 	for _, v := range report.Vulnerabilities() {
-		fmt.Printf("%s: %s -> %s in %s\n", v.CWE(), v.Source, v.Sink, v.SinkFunc)
+		fmt.Printf("%s: %s -> %s in %s\n", v.CWE, v.Source, v.Sink, v.SinkFunc)
 	}
 	// Output:
 	// 4 vulnerabilities over 7 paths

@@ -13,99 +13,47 @@ import (
 // content-addressed report cache, the workload shape of the paper's
 // evaluation (six study images, 115 binaries; a 6,529-image population).
 
-// BinaryStatus classifies one binary's outcome in an image scan.
-type BinaryStatus string
+// The fleet report types are the internal wire types: what
+// ScanFirmwareFleet returns is exactly what dtaint -rootfs-all -json
+// prints, what the fleet cache stores, and what dtaintd serves.
+type (
+	// BinaryStatus classifies one binary's outcome in an image scan.
+	BinaryStatus = fleet.Status
+	// BinaryScan is one rootfs executable's entry in an ImageReport; its
+	// Analysis is nil unless Status is BinaryOK or BinaryCached.
+	BinaryScan = fleet.BinaryScan
+	// ImageReport aggregates a whole firmware image's scan: identity
+	// from the container header, per-binary entries in rootfs path
+	// order, and Table VI-style totals. Timings aside, it is identical
+	// for every worker count.
+	ImageReport = fleet.ImageReport
+	// CorpusReport aggregates a whole-corpus scan: per-image reports in
+	// input order, the cross-image binary dedup accounting, and final
+	// snapshots of the shared cache tiers.
+	CorpusReport = fleet.CorpusReport
+	// CacheStats snapshots the fleet report cache's counters.
+	CacheStats = fleet.CacheStats
+	// SummaryStoreStats snapshots a summary store's counters.
+	SummaryStoreStats = sumstore.Stats
+)
 
 // Binary scan outcomes.
 const (
 	// BinaryOK: analyzed fresh in this run.
-	BinaryOK BinaryStatus = "ok"
+	BinaryOK = fleet.StatusOK
 	// BinaryCached: report served from the content-addressed cache.
-	BinaryCached BinaryStatus = "cached"
+	BinaryCached = fleet.StatusCached
 	// BinaryFailed: the analysis errored or panicked.
-	BinaryFailed BinaryStatus = "failed"
+	BinaryFailed = fleet.StatusFailed
 	// BinaryTimeout: the per-binary deadline elapsed.
-	BinaryTimeout BinaryStatus = "timeout"
+	BinaryTimeout = fleet.StatusTimeout
 	// BinaryStalled: the stall watchdog (WithFleetStallTimeout) fired and
 	// the in-flight analysis was abandoned — reported distinctly so a
 	// killed analysis never reads as an empty success.
-	BinaryStalled BinaryStatus = "stalled"
+	BinaryStalled = fleet.StatusStalled
 	// BinarySkipped: the scan was cancelled before this binary started.
-	BinarySkipped BinaryStatus = "skipped"
+	BinarySkipped = fleet.StatusSkipped
 )
-
-// BinaryScan is one rootfs executable's entry in an ImageReport.
-type BinaryScan struct {
-	// Path is the executable's rootfs path.
-	Path string
-	// SHA256 is the hex digest of the binary bytes.
-	SHA256 string
-	Status BinaryStatus
-	// Error describes a failed, timed-out, or skipped scan.
-	Error string
-	// Duration is the wall-clock this run spent on the binary (zero for
-	// cache hits and skips).
-	Duration time.Duration
-	// Report is the full per-binary report; nil unless Status is
-	// BinaryOK or BinaryCached.
-	Report *Report
-}
-
-// CacheStats snapshots the fleet report cache's counters.
-type CacheStats struct {
-	// Hits counts lookups served from memory or disk; DiskHits is the
-	// subset read from the persistent tier.
-	Hits     uint64
-	DiskHits uint64
-	// Misses counts lookups that forced a fresh analysis.
-	Misses uint64
-	// Evictions counts in-memory LRU entries dropped under pressure.
-	Evictions uint64
-	// Entries is the current in-memory entry count.
-	Entries int
-}
-
-// ImageReport aggregates a whole firmware image's scan: identity from
-// the container header, per-binary reports in rootfs path order, and
-// Table VI-style totals. Timings aside, it is identical for every
-// worker count.
-type ImageReport struct {
-	Vendor  string
-	Product string
-	Version string
-	Year    int
-	Arch    string
-
-	// Candidates is how many rootfs files looked like executables;
-	// Scanned/Cached/Failed/Stalled/Skipped partition them by outcome.
-	Candidates int
-	Scanned    int
-	Cached     int
-	Failed     int
-	Stalled    int
-	Skipped    int
-
-	// Vulnerabilities and VulnerablePaths are totals over all analyzed
-	// binaries (deduplicated per binary by sink location).
-	Vulnerabilities int
-	VulnerablePaths int
-	// FindingsByClass counts deduplicated vulnerabilities per class.
-	FindingsByClass map[Class]int
-
-	// Workers is the orchestrator pool size; Wall the whole-image time.
-	Workers int
-	Wall    time.Duration
-
-	Binaries []BinaryScan
-
-	// Cache is the report cache's counters when the scan finished (zero
-	// when the scan ran uncached).
-	Cache CacheStats
-
-	// Runtime snapshots the Go runtime (heap, goroutines, GC) when the
-	// scan finished.
-	Runtime RuntimeStats
-}
 
 // FleetCache is a process-wide content-addressed report cache shared
 // across image scans: key = SHA-256(binary bytes) + analyzer-options
@@ -129,16 +77,7 @@ func NewFleetCache(maxEntries int, dir string) (*FleetCache, error) {
 }
 
 // Stats returns the cache's counters.
-func (c *FleetCache) Stats() CacheStats {
-	st := c.c.Stats()
-	return CacheStats{
-		Hits:      st.Hits,
-		DiskHits:  st.DiskHits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
-		Entries:   st.Entries,
-	}
-}
+func (c *FleetCache) Stats() CacheStats { return c.c.Stats() }
 
 // SummaryStore is a process-wide content-addressed store of per-function
 // analysis summaries, shared across scans: key = fingerprint of the
@@ -163,46 +102,21 @@ func NewSummaryStore(maxEntries int, dir string) (*SummaryStore, error) {
 	return &SummaryStore{s: s}, nil
 }
 
-// SummaryStoreStats snapshots a summary store's counters.
-type SummaryStoreStats struct {
-	// Hits counts lookups served from memory or disk; DiskHits is the
-	// subset read from the persistent tier.
-	Hits     uint64
-	DiskHits uint64
-	// Misses counts lookups that forced a fresh symbolic execution.
-	Misses uint64
-	// Evictions counts in-memory LRU entries dropped under pressure.
-	Evictions uint64
-	// Entries is the current in-memory entry count.
-	Entries int
-}
-
 // Stats returns the store's counters.
-func (s *SummaryStore) Stats() SummaryStoreStats {
-	st := s.s.Stats()
-	return SummaryStoreStats{
-		Hits:      st.Hits,
-		DiskHits:  st.DiskHits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
-		Entries:   st.Entries,
-	}
-}
+func (s *SummaryStore) Stats() SummaryStoreStats { return s.s.Stats() }
 
 // FleetOption configures an image scan beyond the Analyzer's own
 // options.
-type FleetOption func(*fleetConfig)
+type FleetOption func(*fleet.Options)
 
-type fleetConfig struct {
-	workers      int
-	timeout      time.Duration
-	cache        *FleetCache
-	sumStore     *SummaryStore
-	pathFilter   func(string) bool
-	filterTag    string
-	progress     func(done, total int)
-	stallTimeout time.Duration
-	debugDir     string
+// fleetOptions applies opts over the Analyzer's own analysis options —
+// the one construction behind every image, corpus, and diff scan.
+func (a *Analyzer) fleetOptions(opts []FleetOption) fleet.Options {
+	fo := fleet.Options{Analysis: a.opts}
+	for _, o := range opts {
+		o(&fo)
+	}
+	return fo
 }
 
 // WithFleetWorkers bounds how many binaries are analyzed concurrently
@@ -210,31 +124,39 @@ type fleetConfig struct {
 // via WithParallelism on the Analyzer and defaults to 1 inside a fleet
 // scan.
 func WithFleetWorkers(n int) FleetOption {
-	return func(c *fleetConfig) { c.workers = n }
+	return func(o *fleet.Options) { o.Workers = n }
 }
 
 // WithFleetTimeout caps each binary's analysis wall-clock; timed-out
 // binaries are reported as BinaryTimeout without failing the image.
 func WithFleetTimeout(d time.Duration) FleetOption {
-	return func(c *fleetConfig) { c.timeout = d }
+	return func(o *fleet.Options) { o.PerBinaryTimeout = d }
 }
 
 // WithFleetCache attaches a shared report cache to the scan.
 func WithFleetCache(cache *FleetCache) FleetOption {
-	return func(c *fleetConfig) { c.cache = cache }
+	return func(o *fleet.Options) {
+		if cache != nil {
+			o.Cache = cache.c
+		}
+	}
 }
 
 // WithFleetSummaryStore attaches a shared function-summary store to the
 // scan: binaries that share code (same SDK, same libc) re-use each
 // other's per-function analysis results.
 func WithFleetSummaryStore(store *SummaryStore) FleetOption {
-	return func(c *fleetConfig) { c.sumStore = store }
+	return func(o *fleet.Options) {
+		if store != nil {
+			o.SummaryStore = store.s
+		}
+	}
 }
 
 // WithFleetPathFilter restricts the scan to rootfs paths for which keep
 // returns true (e.g. only /usr/sbin daemons).
 func WithFleetPathFilter(keep func(path string) bool) FleetOption {
-	return func(c *fleetConfig) { c.pathFilter = keep }
+	return func(o *fleet.Options) { o.PathFilter = keep }
 }
 
 // WithFleetFilterTag names the Analyzer's function filter for cache-key
@@ -243,14 +165,14 @@ func WithFleetPathFilter(keep func(path string) bool) FleetOption {
 // the filter; two scans with the same tag are assumed to use the same
 // filter.
 func WithFleetFilterTag(tag string) FleetOption {
-	return func(c *fleetConfig) { c.filterTag = tag }
+	return func(o *fleet.Options) { o.FilterTag = tag }
 }
 
 // WithFleetProgress registers a callback invoked after each binary
 // completes with the running done count and the candidate total. Calls
 // are serialized.
 func WithFleetProgress(fn func(done, total int)) FleetOption {
-	return func(c *fleetConfig) { c.progress = fn }
+	return func(o *fleet.Options) { o.Progress = fn }
 }
 
 // WithFleetStallTimeout arms a stall watchdog over the scan's event
@@ -260,7 +182,7 @@ func WithFleetProgress(fn func(done, total int)) FleetOption {
 // never an empty success. Pick d well above the slowest single
 // function's analysis time; 0 (the default) disables the watchdog.
 func WithFleetStallTimeout(d time.Duration) FleetOption {
-	return func(c *fleetConfig) { c.stallTimeout = d }
+	return func(o *fleet.Options) { o.StallTimeout = d }
 }
 
 // WithFleetDebugDir names the directory that receives one diagnostic
@@ -268,7 +190,7 @@ func WithFleetStallTimeout(d time.Duration) FleetOption {
 // snapshot, options fingerprint, event journal, and the partial report
 // of the binaries completed so far.
 func WithFleetDebugDir(dir string) FleetOption {
-	return func(c *fleetConfig) { c.debugDir = dir }
+	return func(o *fleet.Options) { o.DebugDir = dir }
 }
 
 // ScanFirmwareFleet unpacks a firmware image and analyzes every
@@ -279,50 +201,7 @@ func WithFleetDebugDir(dir string) FleetOption {
 // and binary-sharing fleets cheap. The Analyzer's own options (filters,
 // ablations, custom sources/sinks, parallelism) apply to every binary.
 func (a *Analyzer) ScanFirmwareFleet(ctx context.Context, data []byte, opts ...FleetOption) (*ImageReport, error) {
-	var cfg fleetConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	fopts := fleet.Options{
-		Workers:          cfg.workers,
-		PerBinaryTimeout: cfg.timeout,
-		Analysis:         a.opts,
-		FilterTag:        cfg.filterTag,
-		PathFilter:       cfg.pathFilter,
-		Progress:         cfg.progress,
-		StallTimeout:     cfg.stallTimeout,
-		DebugDir:         cfg.debugDir,
-	}
-	if cfg.cache != nil {
-		fopts.Cache = cfg.cache.c
-	}
-	if cfg.sumStore != nil {
-		fopts.SummaryStore = cfg.sumStore.s
-	}
-	rep, err := fleet.ScanImage(ctx, data, fopts)
-	if err != nil {
-		return nil, err
-	}
-	return publicImageReport(rep), nil
-}
-
-// CorpusReport aggregates a whole-corpus scan: per-image reports in
-// input order, the cross-image binary dedup accounting, and final
-// snapshots of the shared cache tiers.
-type CorpusReport struct {
-	// Images holds one report per input image, in input order.
-	Images []*ImageReport
-	// UniqueBinaries and DuplicateBinaries partition the corpus's
-	// candidate executables by content; duplicates are served from the
-	// shared report cache rather than re-analyzed.
-	UniqueBinaries    int
-	DuplicateBinaries int
-	// Cache and SummaryStore snapshot the shared tiers when the corpus
-	// scan finished.
-	Cache        CacheStats
-	SummaryStore SummaryStoreStats
-	// Wall is the whole-corpus wall-clock time.
-	Wall time.Duration
+	return fleet.ScanImage(ctx, data, a.fleetOptions(opts))
 }
 
 // ScanFirmwareCorpus scans a corpus of firmware images with one report
@@ -334,129 +213,5 @@ type CorpusReport struct {
 // are scanned sequentially, each fanning its binaries across the worker
 // pool; cancelling ctx stops new work.
 func (a *Analyzer) ScanFirmwareCorpus(ctx context.Context, images [][]byte, opts ...FleetOption) (*CorpusReport, error) {
-	var cfg fleetConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	fopts := fleet.Options{
-		Workers:          cfg.workers,
-		PerBinaryTimeout: cfg.timeout,
-		Analysis:         a.opts,
-		FilterTag:        cfg.filterTag,
-		PathFilter:       cfg.pathFilter,
-		Progress:         cfg.progress,
-		StallTimeout:     cfg.stallTimeout,
-		DebugDir:         cfg.debugDir,
-	}
-	if cfg.cache != nil {
-		fopts.Cache = cfg.cache.c
-	}
-	if cfg.sumStore != nil {
-		fopts.SummaryStore = cfg.sumStore.s
-	}
-	rep, err := fleet.ScanCorpus(ctx, images, fopts)
-	if err != nil {
-		return nil, err
-	}
-	out := &CorpusReport{
-		UniqueBinaries:    rep.UniqueBinaries,
-		DuplicateBinaries: rep.DuplicateBinaries,
-		Cache: CacheStats{
-			Hits:      rep.Cache.Hits,
-			DiskHits:  rep.Cache.DiskHits,
-			Misses:    rep.Cache.Misses,
-			Evictions: rep.Cache.Evictions,
-			Entries:   rep.Cache.Entries,
-		},
-		SummaryStore: SummaryStoreStats{
-			Hits:      rep.SummaryStore.Hits,
-			DiskHits:  rep.SummaryStore.DiskHits,
-			Misses:    rep.SummaryStore.Misses,
-			Evictions: rep.SummaryStore.Evictions,
-			Entries:   rep.SummaryStore.Entries,
-		},
-		Wall: rep.Wall,
-	}
-	for _, ir := range rep.Images {
-		out.Images = append(out.Images, publicImageReport(ir))
-	}
-	return out, nil
-}
-
-func publicImageReport(r *fleet.ImageReport) *ImageReport {
-	out := &ImageReport{
-		Vendor:          r.Vendor,
-		Product:         r.Product,
-		Version:         r.Version,
-		Year:            r.Year,
-		Arch:            r.Arch,
-		Candidates:      r.Candidates,
-		Scanned:         r.Scanned,
-		Cached:          r.Cached,
-		Failed:          r.Failed,
-		Stalled:         r.Stalled,
-		Skipped:         r.Skipped,
-		Vulnerabilities: r.Vulnerabilities,
-		VulnerablePaths: r.VulnerablePaths,
-		FindingsByClass: make(map[Class]int, len(r.FindingsByClass)),
-		Workers:         r.Workers,
-		Wall:            r.Wall,
-		Cache: CacheStats{
-			Hits:      r.Cache.Hits,
-			DiskHits:  r.Cache.DiskHits,
-			Misses:    r.Cache.Misses,
-			Evictions: r.Cache.Evictions,
-			Entries:   r.Cache.Entries,
-		},
-		Runtime: publicRuntimeStats(r.Runtime),
-	}
-	for class, n := range r.FindingsByClass {
-		out.FindingsByClass[Class(class)] = n
-	}
-	for _, b := range r.Binaries {
-		out.Binaries = append(out.Binaries, BinaryScan{
-			Path:     b.Path,
-			SHA256:   b.SHA256,
-			Status:   BinaryStatus(b.Status),
-			Error:    b.Error,
-			Duration: b.Duration,
-			Report:   publicBinaryReport(b.Analysis),
-		})
-	}
-	return out
-}
-
-func publicBinaryReport(a *fleet.BinaryAnalysis) *Report {
-	if a == nil {
-		return nil
-	}
-	rep := &Report{
-		Binary:            a.Binary,
-		Arch:              a.Arch,
-		Functions:         a.Functions,
-		Blocks:            a.Blocks,
-		CallEdges:         a.CallEdges,
-		FunctionsAnalyzed: a.FunctionsAnalyzed,
-		SinkCount:         a.SinkCount,
-		IndirectResolved:  a.IndirectResolved,
-		DefPairs:          a.DefPairs,
-		Truncated:         a.Truncated,
-		SSATime:           a.SSATime,
-		DDGTime:           a.DDGTime,
-		DDGWorkers:        a.DDGWorkers,
-		SCCComponents:     a.SCCComponents,
-		CriticalPath:      a.CriticalPath,
-	}
-	for _, f := range a.Findings {
-		rep.Findings = append(rep.Findings, Finding{
-			Class:     Class(f.Class),
-			Sink:      f.Sink,
-			SinkFunc:  f.SinkFunc,
-			SinkAddr:  f.SinkAddr,
-			Source:    f.Source,
-			Path:      append([]string(nil), f.Path...),
-			Sanitized: f.Sanitized,
-		})
-	}
-	return rep
+	return fleet.ScanCorpus(ctx, images, a.fleetOptions(opts))
 }

@@ -2,6 +2,7 @@ package dtaint_test
 
 import (
 	"context"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestScanFirmwareFleetMatchesAnalyzeFirmware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleetRep := img.Binaries[0].Report
+	fleetRep := img.Binaries[0].Analysis
 	if fleetRep == nil {
 		t.Fatal("fleet scan returned no per-binary report")
 	}
@@ -212,6 +213,62 @@ func TestWithSummaryStoreSingleBinary(t *testing.T) {
 			if got[i] != w[i] {
 				t.Fatalf("%s run finding %d = %s, want %s", run, i, got[i], w[i])
 			}
+		}
+	}
+}
+
+// TestFindingEvidenceSurvivesEveryPath: a finding's evidence — the
+// constraint/interval chain behind its verdict — is part of the one
+// report schema, so a cold fleet scan and a scan replayed from a fresh
+// process's on-disk cache carry exactly the findings, evidence
+// included, of a single-binary AnalyzeFirmware run.
+func TestFindingEvidenceSurvivesEveryPath(t *testing.T) {
+	fw, err := dtaint.GenerateStudyFirmware("DIR-645", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := dtaint.New()
+	single, err := a.AnalyzeFirmware(fw, "/htdocs/cgibin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	withEvidence := 0
+	for _, f := range single.Findings {
+		if len(f.Evidence) > 0 {
+			withEvidence++
+		}
+	}
+	if withEvidence == 0 {
+		t.Fatal("single-binary run produced no evidence to compare")
+	}
+
+	dir := t.TempDir()
+	scan := func(run string, want dtaint.BinaryStatus) *dtaint.Report {
+		t.Helper()
+		// A new cache per run: the replay must come from the disk tier,
+		// as it would in a new process.
+		cache, err := dtaint.NewFleetCache(0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := a.ScanFirmwareFleet(context.Background(), fw, dtaint.WithFleetCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range img.Binaries {
+			if b.Path == "/htdocs/cgibin" && b.Status == want {
+				return b.Analysis
+			}
+		}
+		t.Fatalf("%s scan has no %s analysis of /htdocs/cgibin", run, want)
+		return nil
+	}
+	cold := scan("cold", dtaint.BinaryOK)
+	replayed := scan("replayed", dtaint.BinaryCached)
+	for run, rep := range map[string]*dtaint.Report{"cold": cold, "replayed": replayed} {
+		if !reflect.DeepEqual(rep.Findings, single.Findings) {
+			t.Fatalf("%s fleet scan findings differ from AnalyzeFirmware:\n got %+v\nwant %+v",
+				run, rep.Findings, single.Findings)
 		}
 	}
 }

@@ -39,6 +39,7 @@ package dataflow
 
 import (
 	"errors"
+	"fmt"
 	"log/slog"
 	"runtime"
 	"sort"
@@ -133,6 +134,35 @@ type Options struct {
 	// handles, Events never influences results and is excluded from
 	// cache fingerprints.
 	Events *events.Emitter
+}
+
+// DefaultOptions returns the paper's default configuration: every
+// analysis on and the loop-once heuristic. The library, dtaint, and
+// dtaintd all start from it, so their results (and cache keys) agree.
+func DefaultOptions() Options {
+	return Options{Symexec: symexec.Options{LoopOnce: true}}
+}
+
+// Ablate disables the analyses named in list, a comma-separated subset
+// of alias, sse, structsim, and vrange — the -ablate syntax of both
+// CLIs. An unknown name is an error; empty entries are ignored.
+func (o *Options) Ablate(list string) error {
+	for _, name := range strings.Split(list, ",") {
+		switch strings.TrimSpace(name) {
+		case "alias":
+			o.DisableAlias = true
+		case "sse":
+			o.DisableSSE = true
+		case "structsim":
+			o.DisableStructSim = true
+		case "vrange":
+			o.DisableVRange = true
+		case "":
+		default:
+			return fmt.Errorf("unknown -ablate feature %q (want alias, sse, structsim, or vrange)", name)
+		}
+	}
+	return nil
 }
 
 // Stage couples one pipeline stage's span and log lines. Other pipeline

@@ -30,10 +30,10 @@ import (
 // digests.
 func OptionsFingerprint(o Options, filterTag string) string {
 	var b strings.Builder
-	// v4: SSE alias classes landed (alias.RewriteSSE + SSE-driven
-	// indirect-call resolution), changing rewritten definition pairs and
-	// resolutions for identical inputs — v3 caches must all miss.
-	fmt.Fprintf(&b, "v4;alias=%t;sse=%t;structsim=%t;vrange=%t",
+	// v5: fleet report-cache entries carry each finding's evidence and
+	// CWE — v4 entries, written without them, must all miss rather than
+	// replay reports that differ from a fresh scan.
+	fmt.Fprintf(&b, "v5;alias=%t;sse=%t;structsim=%t;vrange=%t",
 		!o.DisableAlias, !o.DisableSSE, !o.DisableStructSim, !o.DisableVRange)
 	// The vocabulary defines what the analysis looks for; its content
 	// digest isolates caches per vocabulary (the default's digest keeps

@@ -31,12 +31,12 @@ const tinyVocab = `{"version": 1, "functions": [
 // stay shareable), while any other vocabulary must change the digest.
 func TestOptionsFingerprintVocabulary(t *testing.T) {
 	base := OptionsFingerprint(Options{}, "")
-	if !strings.HasPrefix(base, "v4;") {
+	if !strings.HasPrefix(base, "v5;") {
 		t.Fatalf("fingerprint version tag wrong: %q", base)
 	}
-	// The bumped tag makes every pre-SSE (v3) cache entry miss.
-	if strings.HasPrefix(base, "v3;") {
-		t.Fatalf("stale v3 fingerprint: %q", base)
+	// The bumped tag makes every evidence-less (v4) cache entry miss.
+	if strings.HasPrefix(base, "v4;") {
+		t.Fatalf("stale v4 fingerprint: %q", base)
 	}
 	if !strings.Contains(base, ";vocab="+taint.DefaultVocabulary().Fingerprint()) {
 		t.Fatalf("fingerprint lacks the default vocabulary digest: %q", base)

@@ -609,7 +609,7 @@ func crossKey(f fleet.Finding, prog *cfg.Program, oldToNew map[string]string) st
 			addr = f.SinkAddr - fn.Addr
 		}
 	}
-	return taint.VulnKey(name, f.Sink, addr, f.Class)
+	return taint.VulnKey(name, f.Sink, addr, string(f.Class))
 }
 
 // wholesale classifies every vulnerability of one analysis with a single

@@ -107,11 +107,17 @@ func diffKeys(a, b []string) []string {
 // journal, and a diagnostic bundle is written to DebugDir.
 func TestScanImageStallWatchdog(t *testing.T) {
 	orig := analyze
-	defer func() { analyze = orig }()
-	release := make(chan struct{})
-	defer close(release)
+	release, abandoned := make(chan struct{}), make(chan struct{})
+	defer func() {
+		// The abandoned analysis read the analyze hook when it started;
+		// restore the hook only after it has returned.
+		close(release)
+		<-abandoned
+		analyze = orig
+	}()
 	analyze = func(f firmware.File, o dataflow.Options) (*BinaryAnalysis, error) {
 		if strings.HasSuffix(f.Path, "/webd") {
+			defer close(abandoned)
 			<-release // hang silently until the test tears down
 		}
 		return orig(f, o)

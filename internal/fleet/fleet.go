@@ -460,13 +460,16 @@ func analyzeBinary(f firmware.File, aopts dataflow.Options) (*BinaryAnalysis, er
 		SummaryMisses:     res.SumStore.Misses,
 	}
 	for _, tf := range res.Findings {
+		class := Class(tf.Class.String())
 		wf := Finding{
-			Class:     tf.Class.String(),
+			Class:     class,
+			CWE:       class.CWE(),
 			Sink:      tf.Sink,
 			SinkFunc:  tf.SinkFunc,
 			SinkAddr:  tf.SinkAddr,
 			Source:    tf.Source,
 			Sanitized: tf.Sanitized,
+			Evidence:  append([]string(nil), tf.Evidence...),
 		}
 		for _, s := range tf.Path {
 			wf.Path = append(wf.Path, s.String())

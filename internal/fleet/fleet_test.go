@@ -143,7 +143,7 @@ func TestScanImageFindsVulnerabilities(t *testing.T) {
 	if rep.Vulnerabilities != 2 { // one per webd copy
 		t.Fatalf("vulnerabilities = %d, want 2", rep.Vulnerabilities)
 	}
-	if got := rep.FindingsByClass[taint.ClassBufferOverflow.String()]; got != 2 {
+	if got := rep.FindingsByClass[Class(taint.ClassBufferOverflow.String())]; got != 2 {
 		t.Fatalf("buffer-overflow count = %d, want 2", got)
 	}
 	// Binaries are listed in rootfs path order.
@@ -354,11 +354,17 @@ func TestScanImagePanicIsolation(t *testing.T) {
 
 func TestScanImagePerBinaryTimeout(t *testing.T) {
 	orig := analyze
-	defer func() { analyze = orig }()
-	release := make(chan struct{})
-	defer close(release)
+	release, abandoned := make(chan struct{}), make(chan struct{})
+	defer func() {
+		// The abandoned analysis read the analyze hook when it started;
+		// restore the hook only after it has returned.
+		close(release)
+		<-abandoned
+		analyze = orig
+	}()
 	analyze = func(f firmware.File, o dataflow.Options) (*BinaryAnalysis, error) {
 		if strings.HasSuffix(f.Path, "webd") {
+			defer close(abandoned)
 			<-release // hang until the test tears down
 		}
 		return orig(f, o)
@@ -417,9 +423,9 @@ func TestScanImageErrors(t *testing.T) {
 
 func TestMergeReports(t *testing.T) {
 	r1 := &ImageReport{Candidates: 2, Scanned: 2, Vulnerabilities: 3, VulnerablePaths: 5,
-		FindingsByClass: map[string]int{"buffer-overflow": 3}}
+		FindingsByClass: map[Class]int{"buffer-overflow": 3}}
 	r2 := &ImageReport{Candidates: 1, Cached: 1, Vulnerabilities: 1, VulnerablePaths: 1,
-		FindingsByClass: map[string]int{"command-injection": 1}}
+		FindingsByClass: map[Class]int{"command-injection": 1}}
 	tot := MergeReports([]*ImageReport{r1, nil, r2})
 	if tot.Images != 2 || tot.Candidates != 3 || tot.Vulnerabilities != 4 || tot.VulnerablePaths != 6 {
 		t.Fatalf("totals = %+v", tot)

@@ -25,7 +25,8 @@
 package fleet
 
 import (
-	"sort"
+	"fmt"
+	"strings"
 	"time"
 
 	"dtaint/internal/obs"
@@ -55,76 +56,170 @@ const (
 	StatusSkipped Status = "skipped"
 )
 
-// Finding is the wire/cache form of one (source, path, sink) tuple. It
-// mirrors the public report's finding with every field JSON-serializable.
+// Class is a vulnerability class.
+type Class string
+
+// Vulnerability classes.
+const (
+	ClassBufferOverflow   Class = "buffer-overflow"
+	ClassCommandInjection Class = "command-injection"
+	// ClassOffByOne marks a copy whose proven length bound equals the
+	// destination capacity exactly: the NUL terminator (or an inclusive
+	// `<=` guard) overruns the buffer by a single byte.
+	ClassOffByOne Class = "off-by-one"
+	// ClassLengthTruncation marks a tainted length narrowed through a
+	// 1-byte store: the truncated value defeats any later bound check.
+	ClassLengthTruncation Class = "length-truncation"
+	// ClassFormatString marks attacker-controlled data reaching the
+	// format argument of a printf-family sink.
+	ClassFormatString Class = "format-string"
+	// ClassPathTraversal marks attacker-controlled data reaching the
+	// path argument of a file operation without a '.'-probe.
+	ClassPathTraversal Class = "path-traversal"
+)
+
+// CWE returns the class's Common Weakness Enumeration identifier:
+// CWE-121 (stack-based buffer overflow), CWE-78 (OS command injection),
+// CWE-193 (off-by-one error), CWE-197 (numeric truncation error),
+// CWE-134 (externally-controlled format string), or CWE-22 (path
+// traversal).
+func (c Class) CWE() string {
+	switch c {
+	case ClassCommandInjection:
+		return "CWE-78"
+	case ClassOffByOne:
+		return "CWE-193"
+	case ClassLengthTruncation:
+		return "CWE-197"
+	case ClassFormatString:
+		return "CWE-134"
+	case ClassPathTraversal:
+		return "CWE-22"
+	}
+	return "CWE-121"
+}
+
+// Finding is one (source, path, sink) tuple discovered by the analysis,
+// in the one form every report layer shares: the library API, the CLI's
+// JSON, the report cache, and the dtaintd wire.
 type Finding struct {
-	Class     string   `json:"class"`
-	Sink      string   `json:"sink"`
-	SinkFunc  string   `json:"sinkFunc"`
-	SinkAddr  uint32   `json:"sinkAddr"`
-	Source    string   `json:"source"`
-	Path      []string `json:"path"`
-	Sanitized bool     `json:"sanitized"`
+	// Class is the vulnerability class implied by the sink; CWE is its
+	// weakness identifier (Class.CWE).
+	Class Class  `json:"class"`
+	CWE   string `json:"cwe"`
+	// Sink is the sensitive function (Table I) or "loop" for loop copies.
+	Sink string `json:"sink"`
+	// SinkFunc is the firmware function containing the sink.
+	SinkFunc string `json:"sinkFunc"`
+	// SinkAddr is the sink callsite address.
+	SinkAddr uint32 `json:"sinkAddr"`
+	// Source is the attacker-controlled input function.
+	Source string `json:"source"`
+	// Path is the call-chain from the sink function up to where the
+	// taint enters, innermost first.
+	Path []string `json:"path"`
+	// Sanitized reports whether a constraint on the tainted data was
+	// found; sanitized paths are not vulnerabilities.
+	Sanitized bool `json:"sanitized"`
+	// Evidence is the constraint/interval chain behind the verdict: which
+	// proven bound (or absence of one) decided Sanitized and Class.
+	Evidence []string `json:"evidence,omitempty"`
 }
 
 // Key returns the canonical deduplication key (shared with every other
 // report layer via taint.VulnKey).
 func (f Finding) Key() string {
-	return taint.VulnKey(f.SinkFunc, f.Sink, f.SinkAddr, f.Class)
+	return taint.VulnKey(f.SinkFunc, f.Sink, f.SinkAddr, string(f.Class))
+}
+
+// String renders the finding as a one-line report.
+func (f Finding) String() string {
+	state := "VULNERABLE"
+	if f.Sanitized {
+		state = "sanitized"
+	}
+	return fmt.Sprintf("[%s] %s -> %s in %s@%#x (%s) via %s",
+		state, f.Source, f.Sink, f.SinkFunc, f.SinkAddr, f.Class,
+		strings.Join(f.Path, " <- "))
 }
 
 // BinaryAnalysis is the complete, serializable result of analyzing one
-// executable. It is both the cache value and the per-binary payload of
-// the HTTP ImageReport, so a cached scan reproduces exactly what a fresh
-// scan would have reported (timings excepted: cached entries keep the
+// executable. It is the single-binary report of the library API and the
+// CLI, the cache value, and the per-binary payload of the HTTP
+// ImageReport, so a cached scan reproduces exactly what a fresh scan
+// would have reported (timings excepted: cached entries keep the
 // timings of the run that produced them).
 type BinaryAnalysis struct {
-	Binary            string        `json:"binary"`
-	Arch              string        `json:"arch"`
-	Functions         int           `json:"functions"`
-	Blocks            int           `json:"blocks"`
-	CallEdges         int           `json:"callEdges"`
-	FunctionsAnalyzed int           `json:"functionsAnalyzed"`
-	SinkCount         int           `json:"sinkCount"`
-	IndirectResolved  int           `json:"indirectResolved"`
-	DefPairs          int           `json:"defPairs"`
-	Truncated         int           `json:"truncated"`
-	SSATime           time.Duration `json:"ssaNanos"`
-	DDGTime           time.Duration `json:"ddgNanos"`
-	DDGWorkers        int           `json:"ddgWorkers"`
-	SCCComponents     int           `json:"sccComponents"`
-	CriticalPath      int           `json:"criticalPath"`
+	// Binary is the analyzed executable's name; Arch its architecture
+	// flavor ("ARM" or "MIPS").
+	Binary string `json:"binary"`
+	Arch   string `json:"arch"`
+	// Functions, Blocks, and CallEdges summarize the recovered program
+	// (the Table II columns).
+	Functions int `json:"functions"`
+	Blocks    int `json:"blocks"`
+	CallEdges int `json:"callEdges"`
+	// FunctionsAnalyzed is the size of the analyzed subset.
+	FunctionsAnalyzed int `json:"functionsAnalyzed"`
+	// SinkCount is the number of static sensitive-sink sites.
+	SinkCount int `json:"sinkCount"`
+	// IndirectResolved counts indirect calls bound by layout similarity
+	// or SSE alias classes.
+	IndirectResolved int `json:"indirectResolved"`
+	// DefPairs is the total number of definition pairs in the generated
+	// data flow (a size measure of the DDG).
+	DefPairs int `json:"defPairs"`
+	// Truncated counts functions whose symbolic exploration hit the
+	// state budget (their summaries are partial).
+	Truncated int `json:"truncated"`
+	// SSATime and DDGTime are the two analysis phases' durations (the
+	// Table VII columns).
+	SSATime time.Duration `json:"ssaNanos"`
+	DDGTime time.Duration `json:"ddgNanos"`
+	// DDGWorkers, SCCComponents, and CriticalPath describe the parallel
+	// bottom-up phase: the worker count its SCC-DAG scheduler ran with,
+	// the number of call-graph components scheduled, and the longest
+	// chain of dependent components (the parallelism ceiling).
+	DDGWorkers    int `json:"ddgWorkers"`
+	SCCComponents int `json:"sccComponents"`
+	CriticalPath  int `json:"criticalPath"`
 	// SummaryHits/SummaryMisses count the producing run's function-summary
 	// store lookups (both zero when the run had no store). Like the
 	// timings, cached entries keep the values of the run that produced
 	// them — they are cost attribution, not part of the analysis result.
-	SummaryHits   int       `json:"summaryHits,omitempty"`
-	SummaryMisses int       `json:"summaryMisses,omitempty"`
-	Findings      []Finding `json:"findings"`
+	SummaryHits   int `json:"summaryHits,omitempty"`
+	SummaryMisses int `json:"summaryMisses,omitempty"`
+	// Findings are all discovered source→sink paths, including sanitized
+	// ones.
+	Findings []Finding `json:"findings"`
 }
 
-// VulnerablePaths counts the unsanitized findings.
-func (a *BinaryAnalysis) VulnerablePaths() int {
-	n := 0
+// VulnerablePaths returns the unsanitized findings (the paper's
+// "vulnerable paths").
+func (a *BinaryAnalysis) VulnerablePaths() []Finding {
+	var out []Finding
 	for _, f := range a.Findings {
 		if !f.Sanitized {
-			n++
+			out = append(out, f)
 		}
 	}
-	return n
+	return out
 }
 
-// Vulnerabilities counts unsanitized findings deduplicated by sink
-// location, using the same key as every other report layer.
-func (a *BinaryAnalysis) Vulnerabilities() int {
+// Vulnerabilities deduplicates vulnerable paths by sink location (the
+// same key as every other report layer): several paths may reach the
+// same weak sink.
+func (a *BinaryAnalysis) Vulnerabilities() []Finding {
 	seen := make(map[string]bool)
+	var out []Finding
 	for _, f := range a.Findings {
 		if f.Sanitized || seen[f.Key()] {
 			continue
 		}
 		seen[f.Key()] = true
+		out = append(out, f)
 	}
-	return len(seen)
+	return out
 }
 
 // BinaryScan is one rootfs executable's entry in an ImageReport.
@@ -172,7 +267,7 @@ type ImageReport struct {
 	Vulnerabilities int `json:"vulnerabilities"`
 	VulnerablePaths int `json:"vulnerablePaths"`
 	// FindingsByClass counts deduplicated vulnerabilities per class.
-	FindingsByClass map[string]int `json:"findingsByClass"`
+	FindingsByClass map[Class]int `json:"findingsByClass"`
 
 	// Workers is the orchestrator pool size the scan ran with.
 	Workers int `json:"workers"`
@@ -196,7 +291,7 @@ type ImageReport struct {
 // over per-binary values, so the result is identical for any worker
 // count.
 func (r *ImageReport) aggregate() {
-	r.FindingsByClass = make(map[string]int)
+	r.FindingsByClass = make(map[Class]int)
 	for _, b := range r.Binaries {
 		switch b.Status {
 		case StatusOK:
@@ -213,14 +308,10 @@ func (r *ImageReport) aggregate() {
 		if b.Analysis == nil {
 			continue
 		}
-		r.Vulnerabilities += b.Analysis.Vulnerabilities()
-		r.VulnerablePaths += b.Analysis.VulnerablePaths()
-		seen := make(map[string]bool)
-		for _, f := range b.Analysis.Findings {
-			if f.Sanitized || seen[f.Key()] {
-				continue
-			}
-			seen[f.Key()] = true
+		vulns := b.Analysis.Vulnerabilities()
+		r.Vulnerabilities += len(vulns)
+		r.VulnerablePaths += len(b.Analysis.VulnerablePaths())
+		for _, f := range vulns {
 			r.FindingsByClass[f.Class]++
 		}
 	}
@@ -231,22 +322,22 @@ func (r *ImageReport) aggregate() {
 // class, for a fleet run over many images (the 6,529-image population
 // workload). Per-binary detail stays in the per-image reports.
 type FleetTotals struct {
-	Images          int            `json:"images"`
-	Candidates      int            `json:"candidates"`
-	Scanned         int            `json:"scanned"`
-	Cached          int            `json:"cached"`
-	Failed          int            `json:"failed"`
-	Stalled         int            `json:"stalled,omitempty"`
-	Skipped         int            `json:"skipped"`
-	Vulnerabilities int            `json:"vulnerabilities"`
-	VulnerablePaths int            `json:"vulnerablePaths"`
-	FindingsByClass map[string]int `json:"findingsByClass"`
-	Wall            time.Duration  `json:"wallNanos"`
+	Images          int           `json:"images"`
+	Candidates      int           `json:"candidates"`
+	Scanned         int           `json:"scanned"`
+	Cached          int           `json:"cached"`
+	Failed          int           `json:"failed"`
+	Stalled         int           `json:"stalled,omitempty"`
+	Skipped         int           `json:"skipped"`
+	Vulnerabilities int           `json:"vulnerabilities"`
+	VulnerablePaths int           `json:"vulnerablePaths"`
+	FindingsByClass map[Class]int `json:"findingsByClass"`
+	Wall            time.Duration `json:"wallNanos"`
 }
 
 // MergeReports aggregates per-image reports into fleet totals.
 func MergeReports(reports []*ImageReport) FleetTotals {
-	t := FleetTotals{FindingsByClass: make(map[string]int)}
+	t := FleetTotals{FindingsByClass: make(map[Class]int)}
 	for _, r := range reports {
 		if r == nil {
 			continue
@@ -266,15 +357,4 @@ func MergeReports(reports []*ImageReport) FleetTotals {
 		}
 	}
 	return t
-}
-
-// Classes returns the report's vulnerability classes in sorted order —
-// a stable iteration order for rendering FindingsByClass.
-func (r *ImageReport) Classes() []string {
-	out := make([]string, 0, len(r.FindingsByClass))
-	for c := range r.FindingsByClass {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -98,33 +98,10 @@ func (m *Metrics) registry() *obs.Registry {
 	return m.r
 }
 
-// RuntimeStats is a snapshot of the Go runtime taken when an analysis
-// finished — the memory and scheduling context embedded in reports.
-type RuntimeStats struct {
-	// HeapAllocBytes is the live heap; HeapSysBytes the heap memory
-	// obtained from the OS; TotalAllocBytes the cumulative allocation
-	// volume.
-	HeapAllocBytes  uint64
-	HeapSysBytes    uint64
-	TotalAllocBytes uint64
-	// Goroutines is the live goroutine count.
-	Goroutines int
-	// NumGC counts completed GC cycles; GCPauseTotal is the cumulative
-	// stop-the-world pause time.
-	NumGC        uint32
-	GCPauseTotal time.Duration
-}
-
-func publicRuntimeStats(s obs.RuntimeStats) RuntimeStats {
-	return RuntimeStats{
-		HeapAllocBytes:  s.HeapAllocBytes,
-		HeapSysBytes:    s.HeapSysBytes,
-		TotalAllocBytes: s.TotalAllocBytes,
-		Goroutines:      s.Goroutines,
-		NumGC:           s.NumGC,
-		GCPauseTotal:    s.GCPauseTotal,
-	}
-}
+// RuntimeStats is a snapshot of the Go runtime taken when a scan
+// finished — the memory and scheduling context embedded in
+// ImageReport.Runtime.
+type RuntimeStats = obs.RuntimeStats
 
 // EventJournal is a bounded in-memory ring of live telemetry events:
 // typed, sequence-numbered records of everything an analysis does —
@@ -153,29 +130,17 @@ func (j *EventJournal) AttachProgressPrinter(w io.Writer) (remove func()) {
 	return events.AttachPrinter(j.j, w)
 }
 
-// EventJournalStats snapshots a journal's ring usage.
-type EventJournalStats struct {
-	// Appended is the total events ever published; Dropped the subset
-	// already overwritten by the wrapping ring.
-	Appended uint64
-	Dropped  uint64
-	// Capacity is the ring size; HighWater the peak occupancy reached.
-	Capacity  int
-	HighWater int
-}
+// EventJournalStats snapshots a journal's ring usage: Appended events
+// ever published, Dropped ones already overwritten, the ring Capacity,
+// and the HighWater occupancy reached.
+type EventJournalStats = events.JournalStats
 
 // Stats returns the journal's usage counters.
 func (j *EventJournal) Stats() EventJournalStats {
 	if j == nil {
 		return EventJournalStats{}
 	}
-	st := j.j.Stats()
-	return EventJournalStats{
-		Appended:  st.Appended,
-		Dropped:   st.Dropped,
-		Capacity:  st.Capacity,
-		HighWater: st.HighWater,
-	}
+	return j.j.Stats()
 }
 
 // WithEventJournal attaches a live-telemetry journal: the analysis

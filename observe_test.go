@@ -22,8 +22,7 @@ func TestTracerCapturesPipelineStages(t *testing.T) {
 		WithTracer(tr),
 		WithLogger(slog.New(slog.NewJSONHandler(&logBuf, nil))),
 	)
-	rep, err := a.AnalyzeFirmware(fw, "/htdocs/cgibin")
-	if err != nil {
+	if _, err := a.AnalyzeFirmware(fw, "/htdocs/cgibin"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,10 +61,6 @@ func TestTracerCapturesPipelineStages(t *testing.T) {
 	}
 	if len(trace.TraceEvents) < 6 {
 		t.Fatalf("trace has %d events", len(trace.TraceEvents))
-	}
-
-	if rep.Runtime.HeapAllocBytes == 0 || rep.Runtime.Goroutines == 0 {
-		t.Fatalf("runtime snapshot missing: %+v", rep.Runtime)
 	}
 
 	// Each stage must have logged a JSON "stage done" line.

@@ -4,7 +4,8 @@
 # Builds dtaintd, generates a small study firmware image, starts the
 # server on an ephemeral port with JSON structured logging, POSTs the
 # image to /v1/scan, polls the job until it is done, and asserts the
-# report finds at least one vulnerability, /v1/metrics speaks
+# report finds at least one vulnerability and has the same top-level
+# keys as dtaint -rootfs-all -json (one report schema), /v1/metrics speaks
 # Prometheus text to a text/plain client, and the log stream contains a
 # valid JSON line for every pipeline stage (scripts/logcheck). It then
 # POSTs the image against itself to /v1/diff: with the cache warmed by
@@ -26,8 +27,9 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-echo ">> smoke: build dtaintd and logcheck"
+echo ">> smoke: build dtaintd, dtaint and logcheck"
 go build -o "$tmp/dtaintd" ./cmd/dtaintd
+go build -o "$tmp/dtaint" ./cmd/dtaint
 go build -o "$tmp/logcheck" ./scripts/logcheck
 
 echo ">> smoke: generate firmware"
@@ -95,6 +97,16 @@ report=$(curl -sf "$base/v1/jobs/$id/report")
 vulns=$(printf '%s' "$report" | sed -n 's/.*"vulnerabilities": *\([0-9]*\).*/\1/p')
 [ -n "$vulns" ] || { echo "smoke: no vulnerability count in report"; exit 1; }
 [ "$vulns" -ge 1 ] || { echo "smoke: expected >=1 vulnerability, got $vulns"; exit 1; }
+
+echo ">> smoke: served report and dtaint -rootfs-all -json share top-level keys"
+# Both encoders indent by two spaces, so top-level keys are the lines
+# with exactly that indent.
+topkeys() { sed -n 's/^  "\([^"]*\)":.*/\1/p' | sort; }
+served_keys=$(printf '%s\n' "$report" | topkeys)
+"$tmp/dtaint" -fw "$tmp/corpus/DIR-645.fwimg" -rootfs-all -json >"$tmp/cli.json"
+cli_keys=$(topkeys <"$tmp/cli.json")
+[ -n "$served_keys" ] && [ "$served_keys" = "$cli_keys" ] ||
+	{ echo "smoke: top-level keys differ: served [$served_keys] vs CLI [$cli_keys]"; exit 1; }
 
 echo ">> smoke: POST /v1/diff (image against itself, warmed cache)"
 dresp=$(curl -sf -X POST -F old=@"$tmp/corpus/DIR-645.fwimg" -F new=@"$tmp/corpus/DIR-645.fwimg" "$base/v1/diff")
