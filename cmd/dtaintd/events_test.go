@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -296,5 +297,65 @@ func TestHealthzReadyz(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable || body.Reason != "queue saturated" {
 		t.Fatalf("saturated readyz = %d %+v, want 503/queue saturated", resp.StatusCode, body)
+	}
+}
+
+// Once the ring has wrapped, a stream opened without Last-Event-ID starts
+// at the oldest buffered event and carries no "dropped" frame: the events
+// evicted before the client connected (here another job's) were never
+// its to lose. A resume whose Last-Event-ID has aged out of the ring
+// still opens with a "dropped" frame counting exactly the missed events.
+func TestEventStreamDroppedFrameOnlyOnStaleResume(t *testing.T) {
+	const ringSize = 4
+	srv, ts := startTestServer(t, config{queueCap: 4, journal: events.NewJournal(ringSize)})
+	for i := 0; i < 3*ringSize; i++ {
+		srv.cfg.journal.Append(events.ScanEvent{Type: events.TypeProgress, Job: "other"})
+	}
+	id := postScan(t, ts, testFirmware(t))
+	waitDone(t, ts, id)
+	head := srv.cfg.journal.Head()
+
+	stream := func(lastID string) []sseFrame {
+		t.Helper()
+		req, err := http.NewRequest("GET", ts.URL+"/v1/jobs/"+id+"/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lastID != "" {
+			req.Header.Set("Last-Event-ID", lastID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return parseSSE(t, resp.Body)
+	}
+
+	fresh := stream("")
+	if len(fresh) == 0 {
+		t.Fatal("fresh stream delivered no frames")
+	}
+	for _, f := range fresh {
+		if f.event == "dropped" {
+			t.Fatalf("fresh stream on a wrapped ring got a dropped frame: %s", f.data)
+		}
+		if f.id <= head-ringSize {
+			t.Fatalf("fresh stream delivered evicted id %d (head %d, ring %d)", f.id, head, ringSize)
+		}
+	}
+	if final := fresh[len(fresh)-1]; final.event != string(events.TypeJobDone) {
+		t.Fatalf("fresh stream final frame = %q, want %q", final.event, events.TypeJobDone)
+	}
+
+	resumed := stream("1")
+	if len(resumed) == 0 || resumed[0].event != "dropped" {
+		t.Fatalf("stale resume did not open with a dropped frame: %+v", resumed)
+	}
+	if want := fmt.Sprintf(`{"dropped":%d}`, head-ringSize-1); resumed[0].data != want {
+		t.Fatalf("stale resume dropped frame = %s, want %s", resumed[0].data, want)
+	}
+	if final := resumed[len(resumed)-1]; final.event != string(events.TypeJobDone) {
+		t.Fatalf("resumed stream final frame = %q, want %q", final.event, events.TypeJobDone)
 	}
 }

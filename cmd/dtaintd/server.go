@@ -444,7 +444,11 @@ func (s *server) streamEvents(w http.ResponseWriter, r *http.Request, job string
 		httpError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	var after uint64
+	// A fresh stream starts at the oldest buffered event: events the ring
+	// evicted before this client connected were never its to lose, so
+	// only a resume whose Last-Event-ID has aged out gets a "dropped"
+	// frame.
+	after := s.cfg.journal.Stats().Dropped
 	if lid := r.Header.Get("Last-Event-ID"); lid != "" {
 		v, err := strconv.ParseUint(lid, 10, 64)
 		if err != nil {

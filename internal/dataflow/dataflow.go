@@ -777,10 +777,9 @@ func containsFrameLocal(e *expr.Expr) bool {
 	if e == nil {
 		return false
 	}
-	for _, s := range e.Syms() {
-		if s == expr.StackSym || strings.HasPrefix(s, "init_") || strings.HasPrefix(s, "opaque_") {
-			return true
-		}
-	}
-	return false
+	return e.AnySym(isFrameLocalName)
+}
+
+func isFrameLocalName(s string) bool {
+	return s == expr.StackSym || strings.HasPrefix(s, "init_") || strings.HasPrefix(s, "opaque_")
 }

@@ -136,11 +136,32 @@ func RehashHeap(name string, callsite uint64) string {
 	return HeapName(name + "@" + strconv.FormatUint(callsite, 16))
 }
 
+// Shared constant nodes cover the small values that dominate stack
+// offsets, field offsets and comparison bounds. Expressions are
+// immutable, so one node per value can be handed out to every caller.
+const (
+	minSharedConst = -256
+	maxSharedConst = 4095
+)
+
+var sharedConsts = func() []*Expr {
+	t := make([]*Expr, maxSharedConst-minSharedConst+1)
+	for i := range t {
+		t[i] = newConst(int64(i + minSharedConst))
+	}
+	return t
+}()
+
 // Const returns a constant expression.
 func Const(v int64) *Expr {
-	e := &Expr{kind: KindConst, val: v, depth: 1}
-	e.key = strconv.FormatInt(v, 10)
-	return e
+	if v >= minSharedConst && v <= maxSharedConst {
+		return sharedConsts[v-minSharedConst]
+	}
+	return newConst(v)
+}
+
+func newConst(v int64) *Expr {
+	return &Expr{kind: KindConst, val: v, depth: 1, key: strconv.FormatInt(v, 10)}
 }
 
 // Sym returns a named symbolic value (e.g. "arg0", "ret_foo_1c", "taint").
@@ -446,6 +467,20 @@ func (e *Expr) TaintSyms() []string {
 		}
 	}
 	return out
+}
+
+// AnySym reports whether some symbol name in e satisfies pred. It walks
+// the tree without allocating and stops at the first match.
+func (e *Expr) AnySym(pred func(name string) bool) bool {
+	switch e.kind {
+	case KindSym:
+		return pred(e.name)
+	case KindDeref:
+		return e.x.AnySym(pred)
+	case KindBinOp:
+		return e.x.AnySym(pred) || e.y.AnySym(pred)
+	}
+	return false
 }
 
 // Syms appends the names of all symbols in e to dst, in first-occurrence

@@ -2,6 +2,8 @@ package expr
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -340,6 +342,87 @@ func TestPropertyJoinCommutative(t *testing.T) {
 			if a.Compatible(b) != b.Compatible(a) {
 				t.Fatalf("Compatible not symmetric for %s, %s", a, b)
 			}
+		}
+	}
+}
+
+func TestPropertyAnySymMatchesSyms(t *testing.T) {
+	// AnySym(p) holds exactly when some name in Syms() satisfies p.
+	preds := []func(string) bool{
+		func(s string) bool { return s == "arg0" },
+		func(s string) bool { return s == "arg3" || s == "arg1" },
+		func(s string) bool { return strings.HasPrefix(s, "arg") },
+		func(string) bool { return false },
+	}
+	f := func(seed int64) bool {
+		e := randomExpr(rand.New(rand.NewSource(seed)), 5)
+		for _, p := range preds {
+			want := false
+			for _, s := range e.Syms() {
+				if p(s) {
+					want = true
+				}
+			}
+			if e.AnySym(p) != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAnySymStopsAtFirstMatch(t *testing.T) {
+	e := Bin(OpOr, Deref(Sym("a")), Bin(OpXor, Sym("b"), Sym("c")))
+	var seen []string
+	if !e.AnySym(func(s string) bool { seen = append(seen, s); return s == "b" }) {
+		t.Fatal("AnySym missed b")
+	}
+	if strings.Join(seen, ",") != "a,b" {
+		t.Fatalf("AnySym visited %v, want [a b]", seen)
+	}
+}
+
+func TestSharedConstTableEdges(t *testing.T) {
+	for _, v := range []int64{-257, -256, -1, 0, 4095, 4096} {
+		c := Const(v)
+		fresh := &Expr{kind: KindConst, val: v, depth: 1, key: strconv.FormatInt(v, 10)}
+		if got, ok := c.ConstVal(); !ok || got != v {
+			t.Fatalf("Const(%d).ConstVal() = %d, %v", v, got, ok)
+		}
+		if c.Key() != fresh.Key() || !c.Equal(fresh) || !fresh.Equal(c) || c.Depth() != 1 {
+			t.Fatalf("Const(%d) = %q depth %d, want %q depth 1", v, c.Key(), c.Depth(), fresh.Key())
+		}
+		shared := v >= -256 && v <= 4095
+		if (Const(v) == c) != shared {
+			t.Fatalf("Const(%d) node shared = %v, want %v", v, Const(v) == c, shared)
+		}
+	}
+	if Const(-257).Equal(Const(-256)) || Const(4095).Equal(Const(4096)) {
+		t.Fatal("neighbouring constants compare equal")
+	}
+}
+
+func TestFoldingNeverMutatesSharedConst(t *testing.T) {
+	// Fold, normalize and substitute through expressions built from shared
+	// nodes, then check every node of the table still holds its own value.
+	a := Sym("arg0")
+	for v := int64(-300); v <= 4200; v += 7 {
+		c := Const(v)
+		_ = Bin(OpAdd, c, Const(3))
+		_ = Bin(OpSub, c, c)
+		_ = Bin(OpMul, Const(1), c)
+		_ = Add(Add(a, v), -v)
+		_ = Bin(OpAdd, Deref(Add(a, v)), c).Subst(a, Const(v+1))
+		_ = Bin(OpXor, a, c).SubstMap(map[string]*Expr{c.Key(): Const(-v)})
+		_ = Add(a, v).MapSyms(func(string) *Expr { return Const(2 * v) })
+	}
+	for v := int64(-256); v <= 4095; v++ {
+		c := Const(v)
+		if got, ok := c.ConstVal(); !ok || got != v || c.Key() != strconv.FormatInt(v, 10) || c.Depth() != 1 {
+			t.Fatalf("shared Const(%d) now holds %d (key %q, depth %d)", v, got, c.Key(), c.Depth())
 		}
 	}
 }

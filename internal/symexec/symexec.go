@@ -234,7 +234,7 @@ func (o Options) withDefaults() Options {
 type State struct {
 	regs    [isa.NumRegs]*expr.Expr
 	mem     map[string]*expr.Expr // address key -> value
-	visits  map[int]int           // block index -> visits on this path
+	visits  []int32               // block index -> visits on this path
 	cmpL    *expr.Expr
 	cmpR    *expr.Expr
 	hasFlag bool
@@ -247,10 +247,7 @@ func (s *State) clone() *State {
 	for k, v := range s.mem {
 		n.mem[k] = v
 	}
-	n.visits = make(map[int]int, len(s.visits))
-	for k, v := range s.visits {
-		n.visits[k] = v
-	}
+	n.visits = append([]int32(nil), s.visits...)
 	return n
 }
 
@@ -455,7 +452,7 @@ func orComponents(e *expr.Expr) []*expr.Expr {
 func (e *engine) initialState() *State {
 	st := &State{
 		mem:    make(map[string]*expr.Expr),
-		visits: make(map[int]int),
+		visits: make([]int32, len(e.fn.Blocks)),
 	}
 	// Uninitialized registers get function-unique symbols so that junk
 	// values never unify across functions.
@@ -506,7 +503,7 @@ func (e *engine) run() {
 		if !e.opts.LoopOnce {
 			limit = e.opts.MaxLoopIters
 		}
-		if st.visits[b.Index] >= limit {
+		if int(st.visits[b.Index]) >= limit {
 			continue
 		}
 		// Per-block merging bound across all paths.
@@ -565,16 +562,17 @@ func (e *engine) execBlock(b *cfg.Block, st *State) []workItem {
 				}
 			}
 		}
-		// Conditional: successor 0 is taken, 1 is fallthrough.
+		// Conditional: successor 0 is taken, 1 is fallthrough. The taken
+		// side gets a copy; the fallthrough side inherits st itself, which
+		// this block no longer uses.
 		if takeTaken && len(b.Succs) > 0 {
 			taken := st.clone()
 			e.recordConstraint(term.Addr, st, term.Raw.Cond, inLoop)
 			items = append(items, workItem{block: b.Succs[0], st: taken})
 		}
 		if takeFall && len(b.Succs) > 1 {
-			fall := st.clone()
 			e.recordConstraint(term.Addr, st, term.Raw.Cond.Negate(), inLoop)
-			items = append(items, workItem{block: b.Succs[1], st: fall})
+			items = append(items, workItem{block: b.Succs[1], st: st})
 		}
 		return items
 	default:

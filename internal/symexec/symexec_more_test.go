@@ -161,3 +161,94 @@ func TestMIPSReturnRegister(t *testing.T) {
 		t.Fatalf("MIPS ret = %s", sum.Rets[0])
 	}
 }
+
+// The two successors of a conditional branch start from one state: the
+// taken side runs on a copy and the fallthrough side on the original.
+// Each side stores its own value to the same stack slot and visits its
+// own block; neither store nor visit may show up on the other path.
+func TestBranchStatesIndependent(t *testing.T) {
+	p, bin := build(t, `
+.arch arm
+.import probe
+.func f
+  CMP R0, #64
+  BGE big
+  MOV R4, #1
+  STR R4, [SP, #-4]
+  BL probe
+  B done
+big:
+  MOV R4, #2
+  STR R4, [SP, #-4]
+  BL probe
+done:
+  BL probe
+  BX LR
+.endfunc
+`)
+	fn := p.ByName["f"]
+	blockAt := func(addr uint32) int {
+		idx := -1
+		for _, b := range fn.Blocks {
+			if b.Start <= addr {
+				idx = b.Index
+			}
+		}
+		return idx
+	}
+	slot := expr.Add(expr.Sym(expr.StackSym), -4)
+	type probeObs struct {
+		block  int
+		val    int64
+		visits []int32
+	}
+	var probes []probeObs
+	oracle := oracleFunc(func(ctx *CallContext) CallEffect {
+		v, _ := ctx.Resolve(slot).ConstVal()
+		probes = append(probes, probeObs{
+			block: blockAt(ctx.Site), val: v,
+			visits: append([]int32(nil), ctx.st.visits...),
+		})
+		return CallEffect{}
+	})
+	sum := Analyze(fn, bin, oracle, Options{LoopOnce: true})
+
+	defs := sum.FindDefs(expr.Deref(slot).Key())
+	if len(defs) != 2 {
+		t.Fatalf("want one def of the slot per path, got %v", defs)
+	}
+	if len(probes) != 4 {
+		t.Fatalf("probes = %+v, want 4 (one per branch block, two at the join)", probes)
+	}
+	// Two probes sit in the taken and fallthrough blocks, two in the join
+	// block; a branch block's probe value names its path.
+	perBlock := map[int]int{}
+	for _, pr := range probes {
+		perBlock[pr.block]++
+	}
+	pathBlock := map[int64]int{}
+	for _, pr := range probes {
+		if perBlock[pr.block] == 1 {
+			pathBlock[pr.val] = pr.block
+		}
+	}
+	taken, fall := pathBlock[2], pathBlock[1]
+	if taken == fall || taken <= 0 || fall <= 0 {
+		t.Fatalf("branch probes did not see one store each: %+v", probes)
+	}
+	seen := map[int64]int{}
+	for _, pr := range probes {
+		own, other := pathBlock[pr.val], taken
+		if own == taken {
+			other = fall
+		}
+		if pr.visits[own] != 1 || pr.visits[other] != 0 {
+			t.Fatalf("path storing %d: visits[own]=%d visits[other]=%d, want 1 and 0 (%+v)",
+				pr.val, pr.visits[own], pr.visits[other], probes)
+		}
+		seen[pr.val]++
+	}
+	if seen[1] != 2 || seen[2] != 2 {
+		t.Fatalf("probes per path = %v, want two on each", seen)
+	}
+}

@@ -231,7 +231,7 @@ type Tracker struct {
 
 	findings []Finding
 	pendings map[string][]PendingSink
-	obsSeen  map[string]bool
+	obsSeen  map[obsKey]bool
 	frames   []trackerFrame
 
 	vocab        *Vocabulary
@@ -296,7 +296,7 @@ func NewTracker() *Tracker {
 	return &Tracker{
 		vocab:    DefaultVocabulary(),
 		pendings: make(map[string][]PendingSink),
-		obsSeen:  make(map[string]bool),
+		obsSeen:  make(map[obsKey]bool),
 	}
 }
 
@@ -945,13 +945,22 @@ func guardRoots(c *expr.Expr) []string {
 	return roots
 }
 
+// obsKey identifies a staged sink observation: one per (function, sink
+// site, sink, taint expression). The first observation under a key wins.
+type obsKey struct {
+	fn    string
+	addr  uint32
+	sink  string
+	taint string
+}
+
 // observe stages a sink observation for the current function, deduplicated
 // by (site, taint key).
 func (t *Tracker) observe(o sinkObs) {
 	if o.taint == nil {
 		return
 	}
-	key := fmt.Sprintf("%s|%x|%s|%s", t.curFunc, o.addr, o.sink, o.taint.Key())
+	key := obsKey{t.curFunc, o.addr, o.sink, o.taint.Key()}
 	if t.obsSeen[key] {
 		return
 	}
@@ -966,12 +975,21 @@ func (t *Tracker) observe(o sinkObs) {
 // current function (Algorithm 2's PushToCallSite, executed bottom-up).
 // sub substitutes formal arguments with actuals and resolves the result
 // against the live caller state.
+//
+// Only the taint expression is instantiated before the dedup check: a
+// pending sink whose (sink site, instantiated taint) this function has
+// already observed — on an earlier path or from an earlier callsite — is
+// dropped before its guard, carried constraints and path are built, as
+// observe would drop it afterwards anyway.
 func (t *Tracker) ImportPending(ps []PendingSink, sub func(*expr.Expr) *expr.Expr, callSite uint32) {
 	for _, p := range ps {
 		if p.Depth >= MaxPendingDepth {
 			continue
 		}
 		taintE := sub(p.TaintExpr)
+		if taintE == nil || t.obsSeen[obsKey{t.curFunc, p.SinkAddr, p.Sink, taintE.Key()}] {
+			continue
+		}
 		guardE := p.GuardExpr
 		if guardE != nil {
 			guardE = sub(guardE)
@@ -1105,12 +1123,12 @@ func (t *Tracker) guardByteFor(o sinkObs) byte {
 // isArgRooted reports whether e depends on a formal argument and can
 // therefore become tainted in a caller context.
 func isArgRooted(e *expr.Expr) bool {
-	for _, s := range e.Syms() {
-		if _, ok := expr.ArgIndex(s); ok {
-			return true
-		}
-	}
-	return false
+	return e.AnySym(isArgName)
+}
+
+func isArgName(s string) bool {
+	_, ok := expr.ArgIndex(s)
+	return ok
 }
 
 // readsGlobal reports whether e reads memory at an absolute address — a
@@ -1182,12 +1200,7 @@ func mentionsAny(e *expr.Expr, marks map[string]bool) bool {
 	if e == nil {
 		return false
 	}
-	for _, s := range e.Syms() {
-		if marks[s] {
-			return true
-		}
-	}
-	return false
+	return e.AnySym(func(s string) bool { return marks[s] })
 }
 
 // verdict is the outcome of one sanitization check together with the
@@ -1487,12 +1500,7 @@ func lenComponents(e *expr.Expr) []*expr.Expr {
 
 // mentionsLenSym reports whether e mentions a strlen-result symbol.
 func mentionsLenSym(e *expr.Expr) bool {
-	for _, s := range e.Syms() {
-		if strings.HasPrefix(s, "len_") {
-			return true
-		}
-	}
-	return false
+	return e.AnySym(func(s string) bool { return strings.HasPrefix(s, "len_") })
 }
 
 // guardMarks collects the symbol/key marks a sanitizing constraint must
@@ -1568,15 +1576,7 @@ func sideMarked(e *expr.Expr, marks map[string]bool) bool {
 	if e == nil {
 		return false
 	}
-	if marks[e.Key()] {
-		return true
-	}
-	for _, s := range e.Syms() {
-		if marks[s] {
-			return true
-		}
-	}
-	return false
+	return marks[e.Key()] || mentionsAny(e, marks)
 }
 
 func isMagnitude(c isa.Cond) bool {

@@ -1,6 +1,7 @@
 package taint
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -323,5 +324,76 @@ func TestTrackerShard(t *testing.T) {
 	}
 	if len(s.Findings()) != 1 {
 		t.Fatalf("shard findings = %d, want 1", len(s.Findings()))
+	}
+}
+
+// Two caller paths import the same pending sink and instantiate equal
+// taint expressions but different guards and carried constraints. The
+// pending-sink dedup check runs before the guard, the constraints and the
+// path are instantiated, so this pins that the finding still comes from
+// the first import — guard, path, Sanitized and evidence alike — whether
+// the later import is at the same callsite or at another one.
+func TestPendingImportFirstWins(t *testing.T) {
+	taintE := expr.Sym(expr.TaintName("recv", 0x40))
+	pending := PendingSink{
+		Class: ClassBufferOverflow, Sink: "strncpy", SinkFunc: "copy", SinkAddr: 0x10,
+		TaintExpr: expr.Deref(expr.Arg(1)),
+		GuardExpr: expr.Arg(2),
+		Path:      []Step{{Func: "copy", Addr: 0x10, Note: "strncpy"}},
+		Constraints: []symexec.Constraint{
+			{L: expr.Arg(2), R: expr.Arg(3), Cond: isa.CondNE, Addr: 0x8},
+		},
+		DstCap: 64,
+	}
+	// A bounded length (8 < 64) sanitizes the copy; a tainted one does not.
+	bounded := func(e *expr.Expr) *expr.Expr {
+		return e.SubstMap(map[string]*expr.Expr{
+			"deref(arg1)": taintE, "arg2": expr.Const(8), "arg3": expr.Sym("n"),
+		})
+	}
+	tainted := func(e *expr.Expr) *expr.Expr {
+		return e.SubstMap(map[string]*expr.Expr{
+			"deref(arg1)": taintE, "arg2": taintE, "arg3": expr.Sym("m"),
+		})
+	}
+	type imp struct {
+		sub  func(*expr.Expr) *expr.Expr
+		site uint32
+	}
+	findings := func(imps ...imp) []Finding {
+		tr := NewTracker()
+		tr.BeginFunction("caller")
+		for _, im := range imps {
+			tr.ImportPending([]PendingSink{pending}, im.sub, im.site)
+		}
+		tr.EndFunction(&symexec.Summary{Func: "caller", Types: map[string]expr.Type{}})
+		return tr.Findings()
+	}
+	alone := func(im imp) Finding {
+		fs := findings(im)
+		if len(fs) != 1 {
+			t.Fatalf("single import gave %d findings, want 1", len(fs))
+		}
+		return fs[0]
+	}
+	if a, b := alone(imp{bounded, 0x100}), alone(imp{tainted, 0x100}); a.Sanitized == b.Sanitized || a.GuardExpr.Equal(b.GuardExpr) || reflect.DeepEqual(a.Evidence, b.Evidence) {
+		t.Fatalf("paths must differ in guard, verdict and evidence: %+v vs %+v", a, b)
+	}
+	for _, tc := range []struct {
+		name          string
+		first, second imp
+	}{
+		{"bounded then tainted, same callsite", imp{bounded, 0x100}, imp{tainted, 0x100}},
+		{"tainted then bounded, same callsite", imp{tainted, 0x100}, imp{bounded, 0x100}},
+		{"bounded then tainted, second callsite", imp{bounded, 0x100}, imp{tainted, 0x200}},
+		{"tainted then bounded, second callsite", imp{tainted, 0x100}, imp{bounded, 0x200}},
+	} {
+		got := findings(tc.first, tc.second)
+		if len(got) != 1 {
+			t.Fatalf("%s: %d findings, want 1", tc.name, len(got))
+		}
+		if want := alone(tc.first); !reflect.DeepEqual(got[0], want) {
+			t.Errorf("%s: finding = %+v\nwant the first import's %+v", tc.name, got[0], want)
+		}
 	}
 }
