@@ -40,10 +40,11 @@
 // watchdog abandoned any binary and nothing vulnerable was found — an
 // incomplete scan must never look like a clean one.
 //
-// -stall-timeout (with -rootfs-all) arms a watchdog over the scan's
-// telemetry stream: a binary whose analysis emits no event for that
-// long is abandoned and reported as "stalled", and with -debug-dir a
-// diagnostic bundle (goroutine dump, trace, metrics, event journal,
+// -stall-timeout (with -rootfs-all or -diff) arms a watchdog over the
+// scan's telemetry stream: a binary whose analysis emits no event for
+// that long is abandoned and reported as "stalled" (in a diff, as an
+// unavailable side carrying the watchdog's error), and with -debug-dir
+// a diagnostic bundle (goroutine dump, trace, metrics, event journal,
 // partial report) is written per stall.
 //
 // -diff compares two firmware versions instead of scanning one:
@@ -116,7 +117,7 @@ func main() {
 		exitCode  = flag.Bool("exit-code", false, "exit 2 when undeduplicated vulnerable paths are found")
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace_event JSON of the pipeline stages to this file")
 		progress  = flag.Bool("progress", false, "print per-stage progress lines to stderr")
-		stallWait = flag.Duration("stall-timeout", 0, "with -rootfs-all: abandon binaries when no telemetry event flows for this long (0 = off)")
+		stallWait = flag.Duration("stall-timeout", 0, "with -rootfs-all or -diff: abandon binaries when no telemetry event flows for this long (0 = off)")
 		debugDir  = flag.String("debug-dir", "", "with -stall-timeout: write one diagnostic bundle directory per stall here")
 		logLevel  = flag.String("log-level", "", "enable structured logging at this level: debug, info, warn, error")
 		logFormat = flag.String("log-format", "text", "structured log format: text or json")

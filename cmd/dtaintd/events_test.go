@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"dtaint/internal/corpus"
+	"dtaint/internal/fleet"
 	"dtaint/internal/obs/events"
 )
 
@@ -357,5 +359,76 @@ func TestEventStreamDroppedFrameOnlyOnStaleResume(t *testing.T) {
 	}
 	if final := resumed[len(resumed)-1]; final.event != string(events.TypeJobDone) {
 		t.Fatalf("resumed stream final frame = %q, want %q", final.event, events.TypeJobDone)
+	}
+}
+
+// A diff job's stream speaks the fleet runner's vocabulary: progress
+// over the "binaries" stage, binary.done events carrying fleet statuses,
+// and a terminal job.done.
+func TestDiffJobEventStream(t *testing.T) {
+	vp, err := corpus.BuildVersionPair(corpus.VersionPairSpec{
+		Binaries: 3, Mutated: 1, SharedFuncs: 10, TailFuncs: 5, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := fleet.NewCache(256, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := startTestServer(t, config{queueCap: 4, journal: events.NewJournal(0), cache: cache})
+	// A prior scan warms the cache, so the diff both replays and analyzes.
+	waitDone(t, ts, postScan(t, ts, vp.Old))
+
+	resp := postDiff(t, ts, vp.Old, vp.New)
+	var ack struct{ ID string }
+	err = json.NewDecoder(resp.Body).Decode(&ack)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sresp, err := http.Get(ts.URL + "/v1/jobs/" + ack.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	frames := parseSSE(t, sresp.Body)
+	if len(frames) == 0 {
+		t.Fatal("diff stream delivered no frames")
+	}
+
+	fleetStatus := map[string]bool{}
+	for _, st := range []fleet.Status{fleet.StatusOK, fleet.StatusCached, fleet.StatusFailed,
+		fleet.StatusTimeout, fleet.StatusSkipped, fleet.StatusStalled} {
+		fleetStatus[string(st)] = true
+	}
+	statuses := map[string]int{}
+	var binaryProgress int
+	for _, f := range frames {
+		var ev events.ScanEvent
+		if err := json.Unmarshal([]byte(f.data), &ev); err != nil {
+			t.Fatalf("frame data not a ScanEvent: %v\n%s", err, f.data)
+		}
+		switch {
+		case ev.Type == events.TypeProgress && ev.Stage == "binaries":
+			binaryProgress++
+		case ev.Type == events.TypeProgress && ev.Stage == "units":
+			t.Errorf("progress event uses the retired %q stage: %s", ev.Stage, f.data)
+		case ev.Type == events.TypeBinaryDone:
+			st, _ := ev.Attrs["status"].(string)
+			if !fleetStatus[st] {
+				t.Errorf("binary.done status %q is not a fleet status: %s", st, f.data)
+			}
+			statuses[st]++
+		}
+	}
+	if binaryProgress == 0 {
+		t.Error("no progress event over the binaries stage")
+	}
+	if statuses[string(fleet.StatusOK)] == 0 || statuses[string(fleet.StatusCached)] == 0 {
+		t.Errorf("binary.done statuses = %v, want both ok and cached", statuses)
+	}
+	if final := frames[len(frames)-1]; final.event != string(events.TypeJobDone) {
+		t.Fatalf("final frame = %q, want %q", final.event, events.TypeJobDone)
 	}
 }

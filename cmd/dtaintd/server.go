@@ -271,19 +271,9 @@ func (s *server) runJob(j *job) {
 		j.done, j.total = done, total
 		s.mu.Unlock()
 	}
-	if j.kind == kindDiff {
-		drep, err := diff.Diff(s.runCtx, data, newData, diff.Options{
-			Workers:          s.cfg.workers,
-			PerBinaryTimeout: s.cfg.binaryTimeout,
-			Analysis:         aopts,
-			Cache:            s.cfg.cache,
-			SummaryStore:     s.cfg.sumStore,
-			Progress:         progress,
-		})
-		s.finishJob(j, nil, drep, err)
-		return
-	}
-	rep, err := fleet.ScanImage(s.runCtx, data, fleet.Options{
+	// One options value drives both job kinds, so scans and diffs share
+	// the runner's timeout, stall watchdog, and debug bundles.
+	opts := fleet.Options{
 		Workers:          s.cfg.workers,
 		PerBinaryTimeout: s.cfg.binaryTimeout,
 		Analysis:         aopts,
@@ -292,7 +282,13 @@ func (s *server) runJob(j *job) {
 		Progress:         progress,
 		StallTimeout:     s.cfg.stallTimeout,
 		DebugDir:         s.cfg.debugDir,
-	})
+	}
+	if j.kind == kindDiff {
+		drep, err := diff.Diff(s.runCtx, data, newData, opts)
+		s.finishJob(j, nil, drep, err)
+		return
+	}
+	rep, err := fleet.ScanImage(s.runCtx, data, opts)
 	s.finishJob(j, rep, nil, err)
 }
 

@@ -74,17 +74,8 @@ const (
 // (WithFleetSummaryStore), and findings are matched across versions so
 // each classifies as new, fixed, or persisting. The Analyzer's own
 // options apply to every analysis, and the same FleetOption set as
-// ScanFirmwareFleet configures workers, timeout, caches, and filters.
+// ScanFirmwareFleet — workers, timeout, stall watchdog, debug bundles,
+// caches, filters, progress — configures the binaries' runner.
 func (a *Analyzer) ScanFirmwareDiff(ctx context.Context, oldImage, newImage []byte, opts ...FleetOption) (*DiffReport, error) {
-	fo := a.fleetOptions(opts)
-	return diff.Diff(ctx, oldImage, newImage, diff.Options{
-		Workers:          fo.Workers,
-		PerBinaryTimeout: fo.PerBinaryTimeout,
-		Analysis:         fo.Analysis,
-		FilterTag:        fo.FilterTag,
-		Cache:            fo.Cache,
-		SummaryStore:     fo.SummaryStore,
-		PathFilter:       fo.PathFilter,
-		Progress:         fo.Progress,
-	})
+	return diff.Diff(ctx, oldImage, newImage, a.fleetOptions(opts))
 }

@@ -15,59 +15,27 @@
 package diff
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
+	"strings"
 	"time"
 
 	"dtaint/internal/cfg"
-	"dtaint/internal/dataflow"
 	"dtaint/internal/firmware"
 	"dtaint/internal/fleet"
 	"dtaint/internal/image"
 	"dtaint/internal/obs"
-	"dtaint/internal/obs/events"
-	"dtaint/internal/sumstore"
 	"dtaint/internal/taint"
 )
 
-// Options configures a differential scan. The analysis knobs mirror
-// fleet.Options so a diff shares caches — and cache keys — with ordinary
-// fleet scans of the same images.
-type Options struct {
-	// Workers bounds how many binaries are analyzed concurrently
-	// (0 = GOMAXPROCS, negative rejected).
-	Workers int
-	// PerBinaryTimeout caps one binary's analysis wall clock (0 = none).
-	PerBinaryTimeout time.Duration
-	// Analysis configures the per-binary analyzer. Parallelism 0 is set
-	// to 1, as in fleet scans.
-	Analysis dataflow.Options
-	// FilterTag names Analysis.Filter for cache keys; caching is bypassed
-	// when Analysis.Filter is non-nil and FilterTag is empty.
-	FilterTag string
-	// Cache, when non-nil, replays unchanged binaries' reports instead of
-	// re-analyzing them — the diff's headline saving. The keys are the
-	// same as fleet scans', so a prior nightly scan warms the diff.
-	Cache *fleet.Cache
-	// SummaryStore, when non-nil, replays unchanged *functions* inside
-	// changed binaries. The diff analyzes all old-version binaries before
-	// new-version-only ones, so the new side hits summaries the old side
-	// just wrote even on a cold store.
-	SummaryStore *sumstore.Store
-	// PathFilter restricts candidates to rootfs paths for which it
-	// returns true (applied to both images).
-	PathFilter func(path string) bool
-	// Progress, when non-nil, is called after each analysis unit
-	// completes with done and total counts. Calls are serialized.
-	Progress func(done, total int)
-}
+// Options configures a differential scan. It is the fleet scan options
+// type, so a diff shares caches — and cache keys — with ordinary fleet
+// scans of the same images, and its binaries run on the same runner
+// (fleet.RunWaves) with the same timeout, stall watchdog, and progress.
+type Options = fleet.Options
 
 // binPair is one rootfs binary tracked across the two versions.
 type binPair struct {
@@ -80,37 +48,13 @@ type binPair struct {
 	newSHA  string
 }
 
-// unit is one distinct binary content that needs an analysis. Pairs
-// sharing bytes share a unit.
-type unit struct {
-	sha     string
-	file    firmware.File
-	oldSide bool // needed by the old image (analyzed in the first wave)
-}
-
-// unitResult is a unit's outcome.
-type unitResult struct {
-	an  *fleet.BinaryAnalysis
-	src Source
-	err error
-	dur time.Duration
-}
-
 // Diff scans the delta between two firmware images. It returns an error
 // only when an image fails to unpack or the options are invalid;
 // per-binary analysis failures are embedded in the report.
 func Diff(ctx context.Context, oldData, newData []byte, opts Options) (*Report, error) {
-	if opts.Workers < 0 {
-		return nil, fleet.ErrBadWorkers
-	}
-	if opts.Workers == 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Analysis.Parallelism == 0 {
-		opts.Analysis.Parallelism = 1
-	}
-	if opts.SummaryStore != nil {
-		opts.Analysis.SummaryStore = opts.SummaryStore
+	opts, err := fleet.Prepare(opts)
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
 
@@ -120,12 +64,12 @@ func Diff(ctx context.Context, oldData, newData []byte, opts Options) (*Report, 
 
 	st := opts.Analysis.StartStage("unpack-images",
 		obs.KV("oldBytes", len(oldData)), obs.KV("newBytes", len(newData)))
-	oldImg, oldBins, err := unpackCandidates(oldData, opts)
+	oldImg, oldBins, err := fleet.Candidates(oldData, opts)
 	if err != nil {
 		st.End()
 		return nil, fmt.Errorf("diff: old image: %w", err)
 	}
-	newImg, newBins, err := unpackCandidates(newData, opts)
+	newImg, newBins, err := fleet.Candidates(newData, opts)
 	if err != nil {
 		st.End()
 		return nil, fmt.Errorf("diff: new image: %w", err)
@@ -135,11 +79,19 @@ func Diff(ctx context.Context, oldData, newData []byte, opts Options) (*Report, 
 
 	st = opts.Analysis.StartStage("pair-binaries")
 	pairs := pairBinaries(oldBins, newBins)
-	units, order := planUnits(pairs)
-	st.End("pairs", len(pairs), "units", len(units))
+	waves := planUnits(pairs)
+	units := len(waves[0]) + len(waves[1])
+	st.End("pairs", len(pairs), "units", units)
 
-	st = opts.Analysis.StartStage("analyze-units", obs.KV("units", len(units)))
-	results := executeUnits(ctx, units, order, opts)
+	// The old-image wave runs first so a changed binary's new version
+	// finds the old version's function summaries already in the store.
+	st = opts.Analysis.StartStage("analyze-units", obs.KV("units", units))
+	results := make(map[string]fleet.BinaryScan, units)
+	for _, wave := range fleet.RunWaves(ctx, newImg.Header, waves, opts) {
+		for _, bs := range wave {
+			results[bs.SHA256] = bs
+		}
+	}
 	st.End()
 
 	rep := &Report{
@@ -149,8 +101,8 @@ func Diff(ctx context.Context, oldData, newData []byte, opts Options) (*Report, 
 			newImg.Header.Version, newImg.Header.Year, newData, len(newBins)),
 		Workers: opts.Workers,
 	}
-	for _, res := range results {
-		switch res.src {
+	for _, bs := range results {
+		switch sourceOf(bs) {
 		case SourceCache:
 			rep.Replayed++
 		case SourceFresh:
@@ -158,7 +110,7 @@ func Diff(ctx context.Context, oldData, newData []byte, opts Options) (*Report, 
 		}
 	}
 	for _, p := range pairs {
-		rep.Binaries = append(rep.Binaries, assemblePair(p, results, opts))
+		rep.Binaries = append(rep.Binaries, assemblePair(p, results))
 	}
 	rep.aggregate()
 	rep.Wall = time.Since(start)
@@ -176,26 +128,6 @@ func Diff(ctx context.Context, oldData, newData []byte, opts Options) (*Report, 
 			"seconds", rep.Wall.Seconds())
 	}
 	return rep, nil
-}
-
-// unpackCandidates unpacks one image and collects its FWELF candidates
-// in rootfs path order.
-func unpackCandidates(data []byte, opts Options) (*firmware.Image, []firmware.File, error) {
-	img, fs, err := firmware.Unpack(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	var out []firmware.File
-	for _, f := range fs.Files {
-		if !bytes.HasPrefix(f.Data, image.Magic[:]) {
-			continue
-		}
-		if opts.PathFilter != nil && !opts.PathFilter(f.Path) {
-			continue
-		}
-		out = append(out, f)
-	}
-	return img, out, nil
 }
 
 // pairBinaries matches the two candidate lists: by path first, then
@@ -279,11 +211,14 @@ func pairBinaries(oldBins, newBins []firmware.File) []*binPair {
 	return out
 }
 
-// planUnits deduplicates the pairs' analysis needs by content hash.
-// order lists the unit keys in first-need (path) order; units needed by
-// the old image run in the first wave so a changed binary's new version
-// finds the old version's function summaries already in the store.
-func planUnits(pairs []*binPair) (map[string]*unit, []string) {
+// planUnits deduplicates the pairs' analysis needs by content hash into
+// two waves of distinct binaries, each in first-need (path) order: the
+// units the old image needs, then those only the new image needs.
+func planUnits(pairs []*binPair) [][]firmware.File {
+	type unit struct {
+		file    firmware.File
+		oldSide bool
+	}
 	units := make(map[string]*unit)
 	var order []string
 	add := func(sha string, f *firmware.File, oldSide bool) {
@@ -294,199 +229,102 @@ func planUnits(pairs []*binPair) (map[string]*unit, []string) {
 			u.oldSide = u.oldSide || oldSide
 			return
 		}
-		units[sha] = &unit{sha: sha, file: *f, oldSide: oldSide}
+		units[sha] = &unit{file: *f, oldSide: oldSide}
 		order = append(order, sha)
 	}
 	for _, p := range pairs {
 		switch p.status {
-		case PairUnchanged, PairMoved:
+		case PairUnchanged, PairMoved, PairRemoved:
 			add(p.oldSHA, p.oldFile, true)
 		case PairChanged:
 			add(p.oldSHA, p.oldFile, true)
 			add(p.newSHA, p.newFile, false)
-		case PairRemoved:
-			add(p.oldSHA, p.oldFile, true)
 		case PairAdded:
 			add(p.newSHA, p.newFile, false)
 		}
 	}
-	return units, order
-}
-
-// executeUnits runs the analysis plan: the old-image wave, then the
-// new-only wave, each over a bounded worker pool.
-func executeUnits(ctx context.Context, units map[string]*unit, order []string, opts Options) map[string]unitResult {
-	var waves [2][]*unit
+	waves := make([][]firmware.File, 2)
 	for _, sha := range order {
 		u := units[sha]
 		if u.oldSide {
-			waves[0] = append(waves[0], u)
+			waves[0] = append(waves[0], u.file)
 		} else {
-			waves[1] = append(waves[1], u)
+			waves[1] = append(waves[1], u.file)
 		}
 	}
-	results := make(map[string]unitResult, len(units))
-	var mu sync.Mutex
-	done, total := 0, len(units)
-	for _, wave := range waves {
-		if len(wave) == 0 {
-			continue
-		}
-		workers := opts.Workers
-		if workers > len(wave) {
-			workers = len(wave)
-		}
-		jobs := make(chan *unit)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for u := range jobs {
-					res := analyzeUnit(ctx, u.file, opts)
-					mu.Lock()
-					results[u.sha] = res
-					done++
-					n := done
-					if opts.Progress != nil {
-						opts.Progress(n, total)
-					}
-					mu.Unlock()
-					// n is mutex-ordered (unique per unit), keeping the
-					// progress event multiset worker-count independent.
-					opts.Analysis.Events.Progress("units", n, total)
-				}
-			}()
-		}
-		for _, u := range wave {
-			jobs <- u
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	return results
+	return waves
 }
 
-// analyzeUnit produces one distinct binary's analysis: report-cache
-// lookup first, then a fresh analysis under panic isolation and the
-// per-binary deadline — the same discipline as fleet.ScanImage.
-func analyzeUnit(ctx context.Context, f firmware.File, opts Options) (ur unitResult) {
-	if err := ctx.Err(); err != nil {
-		return unitResult{src: SourceNone, err: errors.New("diff cancelled before analysis")}
+// sourceOf maps a runner outcome onto a side's provenance: a cache hit
+// replayed, a successful analysis is fresh, and every failure (error,
+// timeout, stall, cancellation) leaves the side unavailable.
+func sourceOf(bs fleet.BinaryScan) Source {
+	switch bs.Status {
+	case fleet.StatusCached:
+		return SourceCache
+	case fleet.StatusOK:
+		return SourceFresh
 	}
-	// A scan-binary span per unit gives diff jobs the same binary.start/
-	// binary.done event stream as fleet scans; the per-unit emitter scope
-	// stamps the path on every event the analysis emits.
-	span := opts.Analysis.Tracer.Start(opts.Analysis.ParentSpan, "scan-binary",
-		obs.KV("path", f.Path))
-	opts.Analysis.ParentSpan = span
-	opts.Analysis.Events = opts.Analysis.Events.WithPath(f.Path)
-	defer func() {
-		span.SetAttr("status", string(ur.src))
-		span.End()
-	}()
-	cacheable := opts.Cache != nil && (opts.Analysis.Filter == nil || opts.FilterTag != "")
-	var key string
-	if cacheable {
-		key = fleet.Key(f.Data, fleet.Fingerprint(opts.Analysis, opts.FilterTag))
-		if an, ok := opts.Cache.Get(key); ok {
-			opts.Analysis.Events.Emit(events.ScanEvent{
-				Type:  events.TypeCacheHit,
-				Attrs: map[string]any{"sha256": fmt.Sprintf("%x", sha256.Sum256(f.Data))},
-			})
-			return unitResult{an: an, src: SourceCache}
-		}
-	}
-	start := time.Now()
-	type outcome struct {
-		an  *fleet.BinaryAnalysis
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{err: fmt.Errorf("analysis panicked: %v", r)}
-			}
-		}()
-		an, err := fleet.AnalyzeBinary(f, opts.Analysis)
-		ch <- outcome{an: an, err: err}
-	}()
-	var timeout <-chan time.Time
-	if opts.PerBinaryTimeout > 0 {
-		t := time.NewTimer(opts.PerBinaryTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case o := <-ch:
-		if o.err != nil {
-			return unitResult{src: SourceNone, err: o.err, dur: time.Since(start)}
-		}
-		if key != "" {
-			opts.Cache.Put(key, o.an)
-		}
-		return unitResult{an: o.an, src: SourceFresh, dur: time.Since(start)}
-	case <-timeout:
-		return unitResult{src: SourceNone,
-			err: fmt.Errorf("analysis timed out after %s", opts.PerBinaryTimeout), dur: time.Since(start)}
-	case <-ctx.Done():
-		return unitResult{src: SourceNone, err: errors.New("diff cancelled"), dur: time.Since(start)}
-	}
+	return SourceNone
 }
 
 // assemblePair builds one pair's report entry, classifying its findings
 // across versions.
-func assemblePair(p *binPair, results map[string]unitResult, opts Options) BinaryDiff {
+func assemblePair(p *binPair, results map[string]fleet.BinaryScan) BinaryDiff {
 	bd := BinaryDiff{
 		Path: p.path, OldPath: p.oldPath, Status: p.status,
 		OldSHA256: p.oldSHA, NewSHA256: p.newSHA,
 	}
 	oldRes, newRes := results[p.oldSHA], results[p.newSHA]
-	attribute := func(res unitResult) {
-		bd.Duration += res.dur
-		if res.src == SourceFresh && res.an != nil {
-			bd.SummaryHits += res.an.SummaryHits
-			bd.SummaryMisses += res.an.SummaryMisses
+	attribute := func(bs fleet.BinaryScan) {
+		bd.Duration += bs.Duration
+		if bs.Status == fleet.StatusOK {
+			bd.SummaryHits += bs.Analysis.SummaryHits
+			bd.SummaryMisses += bs.Analysis.SummaryMisses
 		}
 	}
 
 	switch p.status {
 	case PairUnchanged, PairMoved:
 		// One shared analysis serves both sides.
-		res := results[p.oldSHA]
-		bd.OldSource, bd.NewSource = res.src, res.src
-		attribute(res)
-		if res.err != nil {
-			bd.Error = res.err.Error()
+		bd.OldSource, bd.NewSource = sourceOf(oldRes), sourceOf(oldRes)
+		attribute(oldRes)
+		if oldRes.Analysis == nil {
+			bd.Error = oldRes.Error
 			return bd
 		}
-		bd.Findings = wholesale(res.an, FindingPersisting)
+		bd.Findings = wholesale(oldRes.Analysis, FindingPersisting)
 	case PairRemoved:
-		bd.OldSource = oldRes.src
+		bd.OldSource = sourceOf(oldRes)
 		attribute(oldRes)
-		if oldRes.err != nil {
-			bd.Error = oldRes.err.Error()
+		if oldRes.Analysis == nil {
+			bd.Error = oldRes.Error
 			return bd
 		}
-		bd.Findings = wholesale(oldRes.an, FindingFixed)
+		bd.Findings = wholesale(oldRes.Analysis, FindingFixed)
 	case PairAdded:
-		bd.NewSource = newRes.src
+		bd.NewSource = sourceOf(newRes)
 		attribute(newRes)
-		if newRes.err != nil {
-			bd.Error = newRes.err.Error()
+		if newRes.Analysis == nil {
+			bd.Error = newRes.Error
 			return bd
 		}
-		bd.Findings = wholesale(newRes.an, FindingNew)
+		bd.Findings = wholesale(newRes.Analysis, FindingNew)
 	case PairChanged:
-		bd.OldSource, bd.NewSource = oldRes.src, newRes.src
+		bd.OldSource, bd.NewSource = sourceOf(oldRes), sourceOf(newRes)
 		attribute(oldRes)
 		attribute(newRes)
-		if oldRes.err != nil || newRes.err != nil {
-			bd.Error = joinErrs(oldRes.err, newRes.err)
+		if oldRes.Analysis == nil || newRes.Analysis == nil {
+			var errs []string
+			for _, bs := range []fleet.BinaryScan{oldRes, newRes} {
+				if bs.Analysis == nil {
+					errs = append(errs, bs.Error)
+				}
+			}
+			bd.Error = strings.Join(errs, "; ")
 			return bd
 		}
-		classifyChanged(&bd, p, oldRes.an, newRes.an)
+		classifyChanged(&bd, p, oldRes.Analysis, newRes.Analysis)
 	}
 	sortFindingDiffs(bd.Findings)
 	for _, fd := range bd.Findings {
@@ -618,27 +456,6 @@ func wholesale(an *fleet.BinaryAnalysis, status FindingStatus) []FindingDiff {
 	var out []FindingDiff
 	for _, g := range vulnGroups(an) {
 		out = append(out, FindingDiff{Status: status, Finding: g.rep, Paths: g.paths})
-	}
-	return out
-}
-
-func joinErrs(errs ...error) string {
-	var parts []string
-	for _, err := range errs {
-		if err != nil {
-			parts = append(parts, err.Error())
-		}
-	}
-	return joinWith(parts, "; ")
-}
-
-func joinWith(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
 	}
 	return out
 }

@@ -243,6 +243,82 @@ func TestDiffDeterminism(t *testing.T) {
 	}
 }
 
+// TestDiffCancelledMapsFailures: a diff run under a cancelled context
+// maps the runner's outcomes onto the report. Every side that needed an
+// analysis comes back SourceNone with the runner's error and no finding
+// classified for its pair; sides the report cache holds still replay.
+func TestDiffCancelledMapsFailures(t *testing.T) {
+	vp := buildPair(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	// Cold: nothing replays, so every side is unavailable.
+	rep, err := Diff(ctx, vp.Old, vp.New, Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("Diff: %v", err)
+	}
+	if rep.Replayed != 0 || rep.Reanalyzed != 0 || rep.Failed != len(rep.Binaries) {
+		t.Errorf("cold: replayed/reanalyzed/failed = %d/%d/%d, want 0/0/%d",
+			rep.Replayed, rep.Reanalyzed, rep.Failed, len(rep.Binaries))
+	}
+	if n := rep.NewFindings + rep.FixedFindings + rep.PersistingFindings; n != 0 {
+		t.Errorf("cold: %d findings classified, want 0", n)
+	}
+
+	// Warm: a prior scan of the old image fills the cache, so old sides
+	// (and unchanged pairs entirely) replay; new-only sides fail.
+	cache := newCache(t)
+	if _, err := fleet.ScanImage(context.Background(), vp.Old, fleet.Options{Workers: 2, Cache: cache}); err != nil {
+		t.Fatalf("ScanImage: %v", err)
+	}
+	rep, err = Diff(ctx, vp.Old, vp.New, Options{Workers: 2, Cache: cache})
+	if err != nil {
+		t.Fatalf("Diff: %v", err)
+	}
+	if rep.Reanalyzed != 0 || rep.Replayed == 0 {
+		t.Errorf("warm: replayed/reanalyzed = %d/%d, want >0/0", rep.Replayed, rep.Reanalyzed)
+	}
+	if want := rep.Changed + rep.Added; want == 0 || rep.Failed != want {
+		t.Errorf("warm: failed = %d, want %d (changed + added)", rep.Failed, want)
+	}
+	for _, b := range rep.Binaries {
+		var sides []Source
+		switch b.Status {
+		case PairUnchanged, PairMoved, PairChanged:
+			sides = []Source{b.OldSource, b.NewSource}
+		case PairRemoved:
+			sides = []Source{b.OldSource}
+		case PairAdded:
+			sides = []Source{b.NewSource}
+		}
+		unavailable := false
+		for _, src := range sides {
+			switch src {
+			case SourceNone:
+				unavailable = true
+			case SourceCache:
+			default:
+				t.Errorf("%s: side source %q under a cancelled context, want cache or none", b.Path, src)
+			}
+		}
+		if b.Status != PairAdded && b.OldSource != SourceCache {
+			t.Errorf("%s (%s): old source %q, want cache (the prior scan holds it)", b.Path, b.Status, b.OldSource)
+		}
+		if !unavailable {
+			if b.Error != "" {
+				t.Errorf("%s: replayed pair carries error %q", b.Path, b.Error)
+			}
+			continue
+		}
+		if b.Error == "" {
+			t.Errorf("%s (%s): unavailable side but no error", b.Path, b.Status)
+		}
+		if len(b.Findings) != 0 || b.New+b.Fixed+b.Persisting != 0 {
+			t.Errorf("%s (%s): %d findings classified despite an unavailable side", b.Path, b.Status, len(b.Findings))
+		}
+	}
+}
+
 // TestReportJSONRoundTrip: the wire form reproduces the report exactly.
 func TestReportJSONRoundTrip(t *testing.T) {
 	vp := buildPair(t)

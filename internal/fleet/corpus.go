@@ -44,7 +44,7 @@ type CorpusReport struct {
 // Images are scanned sequentially, each fanning its binaries across the
 // worker pool (Options.Workers); per-image reports land in input order.
 // Cancelling ctx stops new work; remaining binaries and images report
-// StatusSkipped.
+// StatusSkipped unless their reports replay from the cache.
 func ScanCorpus(ctx context.Context, images [][]byte, opts Options) (*CorpusReport, error) {
 	if opts.Cache == nil {
 		c, err := NewCache(0, "")

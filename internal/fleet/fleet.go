@@ -22,7 +22,8 @@ import (
 	"dtaint/internal/sumstore"
 )
 
-// Options configures an image scan.
+// Options configures an image scan, and also a differential scan
+// (diff.Options is an alias): both run their binaries through RunWaves.
 type Options struct {
 	// Workers bounds the orchestrator pool: how many binaries are
 	// analyzed concurrently (0 = GOMAXPROCS, negative is rejected).
@@ -56,7 +57,8 @@ type Options struct {
 	// which it returns true.
 	PathFilter func(path string) bool
 	// Progress, when non-nil, is called after each binary completes with
-	// the number done so far and the total candidate count. Calls are
+	// the number done so far and the total across all waves (a scan's
+	// candidates, a diff's distinct binaries to analyze). Calls are
 	// serialized.
 	Progress func(done, total int)
 	// StallTimeout arms a stall watchdog over the scan's event stream:
@@ -64,7 +66,7 @@ type Options struct {
 	// watchdog emits a stall event, captures a diagnostic bundle (see
 	// DebugDir), and abandons the in-flight binaries — they report
 	// StatusStalled, never an empty success. 0 disables the watchdog.
-	// When Analysis.Events is nil, ScanImage attaches a private journal
+	// When Analysis.Events is nil, RunWaves attaches a private journal
 	// so the watchdog has a stream to watch. Pick a deadline well above
 	// the slowest single function's analysis time: progress events flow
 	// per completed function, so one monstrous function is the finest
@@ -76,12 +78,12 @@ type Options struct {
 	// the binaries completed so far. Empty skips bundle capture.
 	DebugDir string
 
-	// watchdog is the armed stall watchdog ScanImage shares with its
+	// watchdog is the armed stall watchdog RunWaves shares with its
 	// workers (nil when StallTimeout is 0).
 	watchdog *events.Watchdog
 
 	// inflight deduplicates concurrent analyses of identical binaries
-	// within one scan (set by ScanImage when a cache is configured):
+	// within one run (set by RunWaves when a cache is configured):
 	// the first worker to reach a cache key analyzes, the rest wait and
 	// re-read the cache.
 	inflight *flightGroup
@@ -90,18 +92,13 @@ type Options struct {
 // ErrBadWorkers reports a negative worker count.
 var ErrBadWorkers = errors.New("fleet: workers must be >= 0 (0 uses GOMAXPROCS)")
 
-// ScanImage unpacks a firmware container, enumerates the FWELF
-// executables in its root filesystem, and analyzes each across a bounded
-// worker pool. One corrupt or pathological binary cannot take down the
-// run: panics are confined to that binary's report entry, and a
-// per-binary timeout bounds stragglers. Cancelling ctx stops new work;
-// binaries not yet started are reported as StatusSkipped.
-//
-// The returned report lists binaries in rootfs path order and is
-// deterministic (timings aside) for any worker count.
-func ScanImage(ctx context.Context, data []byte, opts Options) (*ImageReport, error) {
+// Prepare validates opts and applies the defaults every scan shares:
+// Workers 0 becomes GOMAXPROCS, Analysis.Parallelism 0 becomes 1, and
+// SummaryStore is attached to the analysis. It is idempotent; RunWaves
+// expects prepared options.
+func Prepare(opts Options) (Options, error) {
 	if opts.Workers < 0 {
-		return nil, ErrBadWorkers
+		return opts, ErrBadWorkers
 	}
 	if opts.Workers == 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -112,8 +109,44 @@ func ScanImage(ctx context.Context, data []byte, opts Options) (*ImageReport, er
 	if opts.SummaryStore != nil {
 		opts.Analysis.SummaryStore = opts.SummaryStore
 	}
-	if opts.Cache != nil {
-		opts.inflight = newFlightGroup()
+	return opts, nil
+}
+
+// Candidates unpacks a firmware container and lists the FWELF
+// executables of its root filesystem that pass opts.PathFilter, in
+// rootfs path order.
+func Candidates(data []byte, opts Options) (*firmware.Image, []firmware.File, error) {
+	img, fs, err := firmware.Unpack(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	var out []firmware.File
+	for _, f := range fs.Files {
+		if !bytes.HasPrefix(f.Data, image.Magic[:]) {
+			continue
+		}
+		if opts.PathFilter != nil && !opts.PathFilter(f.Path) {
+			continue
+		}
+		out = append(out, f)
+	}
+	return img, out, nil
+}
+
+// ScanImage unpacks a firmware container, enumerates the FWELF
+// executables in its root filesystem, and analyzes each across a bounded
+// worker pool (RunWaves with a single wave). One corrupt or pathological
+// binary cannot take down the run: panics are confined to that binary's
+// report entry, and a per-binary timeout bounds stragglers. Cancelling
+// ctx stops new work; binaries not yet started are reported as
+// StatusSkipped unless their report replays from the cache.
+//
+// The returned report lists binaries in rootfs path order and is
+// deterministic (timings aside) for any worker count.
+func ScanImage(ctx context.Context, data []byte, opts Options) (*ImageReport, error) {
+	opts, err := Prepare(opts)
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
 
@@ -124,28 +157,17 @@ func ScanImage(ctx context.Context, data []byte, opts Options) (*ImageReport, er
 	opts.Analysis.ParentSpan = scanSpan
 
 	st := opts.Analysis.StartStage("unpack-firmware", obs.KV("bytes", len(data)))
-	img, fs, err := firmware.Unpack(data)
+	img, candidates, err := Candidates(data, opts)
 	if err != nil {
 		st.End()
 		scanSpan.End()
 		return nil, fmt.Errorf("fleet: unpack image: %w", err)
 	}
-	st.End("files", len(fs.Files))
+	st.End("candidates", len(candidates))
 	scanSpan.SetAttr("product", img.Header.Product)
 	if opts.Analysis.Log != nil {
 		opts.Analysis.Log = opts.Analysis.Log.With(
 			"image", img.Header.Product, "version", img.Header.Version)
-	}
-
-	var candidates []firmware.File
-	for _, f := range fs.Files {
-		if !bytes.HasPrefix(f.Data, image.Magic[:]) {
-			continue
-		}
-		if opts.PathFilter != nil && !opts.PathFilter(f.Path) {
-			continue
-		}
-		candidates = append(candidates, f)
 	}
 
 	rep := &ImageReport{
@@ -156,74 +178,8 @@ func ScanImage(ctx context.Context, data []byte, opts Options) (*ImageReport, er
 		Arch:       img.Header.Arch.String(),
 		Candidates: len(candidates),
 		Workers:    opts.Workers,
-		Binaries:   make([]BinaryScan, len(candidates)),
+		Binaries:   RunWaves(ctx, img.Header, [][]firmware.File{candidates}, opts)[0],
 	}
-
-	// completed collects finished binaries in completion order for the
-	// watchdog's partial report (rep.Binaries has holes mid-scan).
-	var (
-		completedMu sync.Mutex
-		completed   []BinaryScan
-	)
-
-	// The stall watchdog needs an event stream to watch; a scan armed
-	// without a caller-supplied journal gets a private one.
-	if opts.StallTimeout > 0 {
-		if opts.Analysis.Events == nil {
-			opts.Analysis.Events = events.NewJournal(0).Emitter("")
-		}
-		em := opts.Analysis.Events
-		opts.watchdog = events.StartWatchdog(events.WatchdogConfig{
-			Journal:     em.Journal(),
-			Job:         em.Job(),
-			Deadline:    opts.StallTimeout,
-			DebugDir:    opts.DebugDir,
-			Fingerprint: dataflow.OptionsFingerprint(opts.Analysis, opts.FilterTag),
-			Tracer:      opts.Analysis.Tracer,
-			Metrics:     opts.Analysis.Metrics,
-			Partial:     partialReportWriter(rep, &completedMu, &completed),
-		})
-		defer opts.watchdog.Stop()
-	}
-	em := opts.Analysis.Events
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var progressMu sync.Mutex
-	done := 0
-	workers := opts.Workers
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				bs := scanOne(ctx, candidates[i], opts)
-				rep.Binaries[i] = bs
-				completedMu.Lock()
-				completed = append(completed, bs)
-				completedMu.Unlock()
-				progressMu.Lock()
-				done++
-				n := done
-				if opts.Progress != nil {
-					opts.Progress(n, len(candidates))
-				}
-				progressMu.Unlock()
-				// n is mutex-ordered (unique per binary), so the progress
-				// event multiset is deterministic for any worker count.
-				em.Progress("binaries", n, len(candidates))
-			}
-		}()
-	}
-	for i := range candidates {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
 	rep.aggregate()
 	rep.Wall = time.Since(start)
 	if opts.Cache != nil {
@@ -243,10 +199,93 @@ func ScanImage(ctx context.Context, data []byte, opts Options) (*ImageReport, er
 	return rep, nil
 }
 
+// RunWaves takes waves of rootfs binaries through the per-binary runner
+// over a bounded worker pool, returning one BinaryScan per file, wave by
+// wave in input order. Every binary of a wave finishes before the next
+// wave starts, so a later wave sees the summaries and cache entries an
+// earlier one wrote. The progress count runs across all waves, one stall
+// watchdog (StallTimeout) watches the whole run, and identical binaries
+// in flight at once are analyzed once. hdr names the image in the
+// watchdog's partial report. opts must come from Prepare.
+func RunWaves(ctx context.Context, hdr firmware.Header, waves [][]firmware.File, opts Options) [][]BinaryScan {
+	total := 0
+	for _, wave := range waves {
+		total += len(wave)
+	}
+	if opts.Cache != nil {
+		opts.inflight = newFlightGroup()
+	}
+
+	// completed collects finished binaries in completion order for the
+	// watchdog's partial report (the result slices have holes mid-run).
+	var (
+		mu        sync.Mutex
+		completed []BinaryScan
+		done      int
+	)
+	// The stall watchdog needs an event stream to watch; a run armed
+	// without a caller-supplied journal gets a private one.
+	if opts.StallTimeout > 0 {
+		if opts.Analysis.Events == nil {
+			opts.Analysis.Events = events.NewJournal(0).Emitter("")
+		}
+		em := opts.Analysis.Events
+		opts.watchdog = events.StartWatchdog(events.WatchdogConfig{
+			Journal:     em.Journal(),
+			Job:         em.Job(),
+			Deadline:    opts.StallTimeout,
+			DebugDir:    opts.DebugDir,
+			Fingerprint: dataflow.OptionsFingerprint(opts.Analysis, opts.FilterTag),
+			Tracer:      opts.Analysis.Tracer,
+			Metrics:     opts.Analysis.Metrics,
+			Partial:     partialReportWriter(hdr, total, &mu, &completed),
+		})
+		defer opts.watchdog.Stop()
+	}
+	em := opts.Analysis.Events
+
+	out := make([][]BinaryScan, len(waves))
+	for w, wave := range waves {
+		res := make([]BinaryScan, len(wave))
+		out[w] = res
+		workers := min(opts.Workers, len(wave))
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range jobs {
+					bs := scanOne(ctx, wave[i], opts)
+					res[i] = bs
+					mu.Lock()
+					completed = append(completed, bs)
+					done++
+					n := done
+					if opts.Progress != nil {
+						opts.Progress(n, total)
+					}
+					mu.Unlock()
+					// n is mutex-ordered (unique per binary), so the
+					// progress event multiset is deterministic for any
+					// worker count.
+					em.Progress("binaries", n, total)
+				}
+			}()
+		}
+		for i := range wave {
+			jobs <- i
+		}
+		close(jobs)
+		wg.Wait()
+	}
+	return out
+}
+
 // partialReportWriter returns the watchdog's partial-report callback: a
 // JSON snapshot of the binaries completed so far, flagged partial so a
 // bundle's report.json is never mistaken for a finished scan's.
-func partialReportWriter(rep *ImageReport, mu *sync.Mutex, completed *[]BinaryScan) func(io.Writer) error {
+func partialReportWriter(hdr firmware.Header, total int, mu *sync.Mutex, completed *[]BinaryScan) func(io.Writer) error {
 	return func(w io.Writer) error {
 		mu.Lock()
 		snap := append([]BinaryScan(nil), (*completed)...)
@@ -261,7 +300,7 @@ func partialReportWriter(rep *ImageReport, mu *sync.Mutex, completed *[]BinarySc
 			Candidates int          `json:"candidates"`
 			Completed  int          `json:"completed"`
 			Binaries   []BinaryScan `json:"binaries"`
-		}{true, rep.Vendor, rep.Product, rep.Version, rep.Candidates, len(snap), snap})
+		}{true, hdr.Vendor, hdr.Product, hdr.Version, total, len(snap), snap})
 	}
 }
 
@@ -293,8 +332,9 @@ func recordScanMetrics(reg *obs.Registry, rep *ImageReport) {
 	}
 }
 
-// scanOne analyzes a single rootfs executable: cache lookup, then a
-// fresh analysis under panic isolation and the per-binary deadline.
+// scanOne is the per-binary runner: cache lookup (with in-flight dedup),
+// then a fresh analysis under panic isolation, the per-binary deadline,
+// and the stall watchdog.
 func scanOne(ctx context.Context, f firmware.File, opts Options) BinaryScan {
 	sum := sha256.Sum256(f.Data)
 	bs := BinaryScan{Path: f.Path, SHA256: hex.EncodeToString(sum[:])}
@@ -317,12 +357,6 @@ func scanOne(ctx context.Context, f firmware.File, opts Options) BinaryScan {
 				"status", string(bs.Status), "seconds", bs.Duration.Seconds())
 		}
 	}()
-
-	if ctx.Err() != nil {
-		bs.Status = StatusSkipped
-		bs.Error = ctx.Err().Error()
-		return bs
-	}
 
 	cacheable := opts.Cache != nil && (opts.Analysis.Filter == nil || opts.FilterTag != "")
 	var key string
@@ -348,6 +382,13 @@ func scanOne(ctx context.Context, f firmware.File, opts Options) BinaryScan {
 			opts.inflight.wait(key)
 		}
 		defer opts.inflight.finish(key)
+	}
+	// Cancellation stops new analyses; a cache hit above costs nothing
+	// and still replays.
+	if ctx.Err() != nil {
+		bs.Status = StatusSkipped
+		bs.Error = ctx.Err().Error()
+		return bs
 	}
 
 	type outcome struct {
@@ -411,9 +452,8 @@ func scanOne(ctx context.Context, f firmware.File, opts Options) BinaryScan {
 var analyze = analyzeBinary
 
 // AnalyzeBinary runs the full single-binary pipeline on one rootfs file
-// — the same entry the scan pool uses (including any test substitute).
-// It is the building block the differential scanner drives directly
-// when it plans its own analysis schedule.
+// — the same entry the scan pool uses (including any test substitute) —
+// without the runner's cache, deadline, or panic isolation.
 func AnalyzeBinary(f firmware.File, aopts dataflow.Options) (*BinaryAnalysis, error) {
 	return analyze(f, aopts)
 }

@@ -52,7 +52,8 @@ const (
 	// Distinct from StatusTimeout so a watchdog kill never masquerades
 	// as an empty success or an ordinary deadline.
 	StatusStalled Status = "stalled"
-	// StatusSkipped: the scan was cancelled before this binary started.
+	// StatusSkipped: the scan was cancelled before this binary started
+	// and its report was not in the cache.
 	StatusSkipped Status = "skipped"
 )
 

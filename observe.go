@@ -3,7 +3,6 @@ package dtaint
 import (
 	"io"
 	"log/slog"
-	"time"
 
 	"dtaint/internal/obs"
 	"dtaint/internal/obs/events"
@@ -36,43 +35,6 @@ func (t *Tracer) SpanNames() []string {
 		return nil
 	}
 	return t.t.SpanNames()
-}
-
-// SpanEvent is the view of a span handed to OnSpanStart/OnSpanEnd
-// observers (Duration is zero in start events).
-type SpanEvent struct {
-	Name     string
-	Start    time.Time
-	Duration time.Duration
-	Attrs    map[string]any
-}
-
-func spanEvent(r obs.SpanRecord) SpanEvent {
-	ev := SpanEvent{Name: r.Name, Start: r.Start, Duration: r.Duration}
-	if len(r.Attrs) > 0 {
-		ev.Attrs = make(map[string]any, len(r.Attrs))
-		for _, a := range r.Attrs {
-			ev.Attrs[a.Key] = a.Value
-		}
-	}
-	return ev
-}
-
-// OnSpanStart registers fn to run synchronously whenever a span starts —
-// the hook progress reporting is built on. Register before analyzing.
-func (t *Tracer) OnSpanStart(fn func(SpanEvent)) {
-	if t == nil {
-		return
-	}
-	t.t.OnSpanStart(func(r obs.SpanRecord) { fn(spanEvent(r)) })
-}
-
-// OnSpanEnd registers fn to run synchronously whenever a span ends.
-func (t *Tracer) OnSpanEnd(fn func(SpanEvent)) {
-	if t == nil {
-		return
-	}
-	t.t.OnSpanEnd(func(r obs.SpanRecord) { fn(spanEvent(r)) })
 }
 
 // Metrics is a registry of counters, gauges, and histograms the

@@ -10,9 +10,9 @@
 # valid JSON line for every pipeline stage (scripts/logcheck). It then
 # POSTs the image against itself to /v1/diff: with the cache warmed by
 # the scan, the self-diff must replay everything (zero re-analyses) and
-# report zero new findings. Along the way it watches the scan live over
-# the SSE event stream (ordered ids, progress events, a terminal
-# job.done), probes /healthz and /readyz, and finally SIGTERMs the
+# report zero new findings. Along the way it watches the scan and the
+# diff live over their SSE event streams (ordered ids, progress events,
+# a terminal job.done), probes /healthz and /readyz, and finally SIGTERMs the
 # server and asserts /readyz flips to 503 during the drain window.
 # Invoked by `make smoke` and by scripts/check.sh.
 set -eu
@@ -80,17 +80,25 @@ for _ in $(seq 1 100); do
 done
 [ "$state" = "done" ] || { echo "smoke: job ended in state '$state'"; exit 1; }
 
+# check_sse FILE: a captured job stream has ordered ids, a progress
+# event over the binaries stage, and ends with job.done.
+check_sse() {
+	ids=$(sed -n 's/^id: \([0-9]*\).*/\1/p' "$1")
+	[ -n "$ids" ] || { echo "smoke: SSE stream $1 carried no event ids"; exit 1; }
+	printf '%s\n' "$ids" | sort -n -c 2>/dev/null ||
+		{ echo "smoke: SSE event ids out of order in $1"; exit 1; }
+	grep -q '^event: progress$' "$1" ||
+		{ echo "smoke: no progress event in SSE stream $1"; exit 1; }
+	grep -q '"stage":"binaries"' "$1" ||
+		{ echo "smoke: no binaries-stage progress in SSE stream $1"; exit 1; }
+	last_event=$(sed -n 's/^event: \(.*\)$/\1/p' "$1" | tail -1)
+	[ "$last_event" = "job.done" ] ||
+		{ echo "smoke: SSE stream $1 ended with '$last_event', want job.done"; exit 1; }
+}
+
 echo ">> smoke: SSE stream carries ordered progress and a terminal job.done"
 wait "$ssepid" || { echo "smoke: SSE curl failed"; exit 1; }
-ids=$(sed -n 's/^id: \([0-9]*\).*/\1/p' "$tmp/events.sse")
-[ -n "$ids" ] || { echo "smoke: SSE stream carried no event ids"; exit 1; }
-printf '%s\n' "$ids" | sort -n -c 2>/dev/null ||
-	{ echo "smoke: SSE event ids out of order"; exit 1; }
-grep -q '^event: progress$' "$tmp/events.sse" ||
-	{ echo "smoke: no progress event in SSE stream"; exit 1; }
-last_event=$(sed -n 's/^event: \(.*\)$/\1/p' "$tmp/events.sse" | tail -1)
-[ "$last_event" = "job.done" ] ||
-	{ echo "smoke: SSE stream ended with '$last_event', want job.done"; exit 1; }
+check_sse "$tmp/events.sse"
 
 echo ">> smoke: fetch report"
 report=$(curl -sf "$base/v1/jobs/$id/report")
@@ -112,6 +120,8 @@ echo ">> smoke: POST /v1/diff (image against itself, warmed cache)"
 dresp=$(curl -sf -X POST -F old=@"$tmp/corpus/DIR-645.fwimg" -F new=@"$tmp/corpus/DIR-645.fwimg" "$base/v1/diff")
 did=$(printf '%s' "$dresp" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
 [ -n "$did" ] || { echo "smoke: no diff job id in response: $dresp"; exit 1; }
+curl -sN --max-time 60 "$base/v1/jobs/$did/events" >"$tmp/diff-events.sse" &
+dssepid=$!
 
 echo ">> smoke: poll diff job $did"
 state=""
@@ -123,6 +133,10 @@ for _ in $(seq 1 100); do
 	sleep 0.1
 done
 [ "$state" = "done" ] || { echo "smoke: diff job ended in state '$state'"; exit 1; }
+
+echo ">> smoke: diff SSE stream carries progress and a terminal job.done"
+wait "$dssepid" || { echo "smoke: diff SSE curl failed"; exit 1; }
+check_sse "$tmp/diff-events.sse"
 
 dreport=$(curl -sf "$base/v1/jobs/$did/report")
 reanalyzed=$(printf '%s' "$dreport" | sed -n 's/.*"reanalyzed": *\([0-9]*\).*/\1/p')
