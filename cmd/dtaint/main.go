@@ -59,7 +59,9 @@
 // as new, fixed, or persisting across the versions. -json emits the
 // DiffReport; -report writes the Markdown rendering. With -diff,
 // -exit-code gates on *new* findings: a release that only carries
-// known, persisting findings does not fail the pipeline.
+// known, persisting findings does not fail the pipeline, and a diff in
+// which the stall watchdog abandoned a binary exits 3 like a stalled
+// scan.
 //
 // Observability (all off by default):
 //
@@ -71,7 +73,8 @@
 // as a span and writes Chrome trace_event JSON loadable in Perfetto or
 // chrome://tracing. -progress prints per-stage progress lines to
 // stderr — percentages and ETA for the two per-function phases —
-// rendered from the same live event bus dtaintd streams over SSE.
+// rendered from the same span-derived event journal dtaintd streams
+// over SSE; it needs no -trace-out.
 // -log-level enables structured logging (log/slog) to stderr;
 // -log-format picks text or json lines.
 package main
@@ -151,7 +154,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dtaint: -diff takes exactly two image arguments: old.fwimg new.fwimg")
 			os.Exit(1)
 		}
-		vulnPaths, err = runDiff(o, flag.Arg(0), flag.Arg(1))
+		vulnPaths, stalledBins, err = runDiff(o, flag.Arg(0), flag.Arg(1))
 	case *allBins:
 		vulnPaths, stalledBins, err = runFleet(o)
 	default:
@@ -162,15 +165,22 @@ func main() {
 		os.Exit(1)
 	}
 	if *exitCode {
-		if vulnPaths > 0 {
-			os.Exit(2)
-		}
-		if stalledBins > 0 {
-			// Distinct from both "clean" (0) and "found" (2): the scan is
-			// incomplete, not vulnerability-free.
-			os.Exit(3)
-		}
+		os.Exit(exitStatus(vulnPaths, stalledBins))
 	}
+}
+
+// exitStatus is the -exit-code status: 2 when vulnerable paths (for a
+// diff, NEW findings) were found, else 3 when the stall watchdog
+// abandoned any binary — distinct from both "clean" (0) and "found"
+// (2): the scan is incomplete, not vulnerability-free — else 0.
+func exitStatus(vulnPaths, stalledBins int) int {
+	switch {
+	case vulnPaths > 0:
+		return 2
+	case stalledBins > 0:
+		return 3
+	}
+	return 0
 }
 
 // cliOptions carries the parsed analysis flags into run and runFleet.
@@ -195,16 +205,15 @@ type cliOptions struct {
 // the analysis has finished and must run on the success path only.
 func (o cliOptions) observability() (opts []dtaint.Option, flush func() error, err error) {
 	var tracer *dtaint.Tracer
-	if o.traceOut != "" || o.progress {
+	if o.traceOut != "" {
 		tracer = dtaint.NewTracer()
 		opts = append(opts, dtaint.WithTracer(tracer))
 	}
 	if o.progress {
-		// -progress rides the event bus: the tracer's spans are bridged
-		// into a journal (by dtaint.New) and the printer renders the
-		// events — the same stream dtaintd serves over SSE.
+		// -progress renders the analysis's event journal — the same
+		// span-derived stream dtaintd serves over SSE.
 		j := dtaint.NewEventJournal(0)
-		attachProgress(j, os.Stderr)
+		j.AttachProgressPrinter(os.Stderr)
 		opts = append(opts, dtaint.WithEventJournal(j))
 	}
 	if o.logLevel != "" {
@@ -366,56 +375,57 @@ func runFleet(o cliOptions) (int, int, error) {
 // runDiff diffs two firmware versions and prints the cross-version
 // report. It returns the NEW finding count — not the total — so
 // -exit-code fails a pipeline only when a release introduces findings,
-// not when it merely carries known persisting ones.
-func runDiff(o cliOptions, oldPath, newPath string) (int, error) {
+// not when it merely carries known persisting ones, and the count of
+// binaries the stall watchdog abandoned.
+func runDiff(o cliOptions, oldPath, newPath string) (int, int, error) {
 	if o.workers < 0 {
-		return 0, fmt.Errorf("-workers must be >= 0 (0 uses GOMAXPROCS), got %d", o.workers)
+		return 0, 0, fmt.Errorf("-workers must be >= 0 (0 uses GOMAXPROCS), got %d", o.workers)
 	}
 	oldData, err := os.ReadFile(oldPath)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	newData, err := os.ReadFile(newPath)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	fopts, err := o.fleetOptions()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	aopts, flushTrace, err := o.observability()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	more, err := o.analysisOptions("", 0)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	aopts = append(aopts, more...)
 	rep, err := dtaint.New(aopts...).ScanFirmwareDiff(context.Background(), oldData, newData, fopts...)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if err := flushTrace(); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if o.mdOut != "" {
 		f, err := os.Create(o.mdOut)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if err := rep.WriteMarkdown(f); err != nil {
 			f.Close()
-			return 0, err
+			return 0, 0, err
 		}
 		if err := f.Close(); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		fmt.Printf("wrote %s\n", o.mdOut)
-		return rep.NewFindings, nil
+		return rep.NewFindings, rep.Stalled, nil
 	}
 	if o.jsonOut {
-		return rep.NewFindings, encodeJSON(rep)
+		return rep.NewFindings, rep.Stalled, encodeJSON(rep)
 	}
 	fmt.Printf("diff %s %s: %s → %s\n", rep.New.Vendor, rep.New.Product,
 		rep.Old.Version, rep.New.Version)
@@ -446,9 +456,12 @@ func runDiff(o cliOptions, oldPath, newPath string) (int, error) {
 				f.Class, f.Source, f.Sink, f.SinkFunc, f.SinkAddr, fd.Paths)
 		}
 	}
+	if rep.Stalled > 0 {
+		fmt.Printf("stalled: %d binaries abandoned by the watchdog; the diff is incomplete\n", rep.Stalled)
+	}
 	fmt.Printf("findings: %d new, %d fixed, %d persisting\n",
 		rep.NewFindings, rep.FixedFindings, rep.PersistingFindings)
-	return rep.NewFindings, nil
+	return rep.NewFindings, rep.Stalled, nil
 }
 
 func run(o cliOptions) (int, error) {

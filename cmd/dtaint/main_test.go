@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"dtaint"
 	"dtaint/internal/corpus"
@@ -171,7 +172,7 @@ func TestRunFleetMode(t *testing.T) {
 func TestRunDiffExitCodeOnNewFindingsOnly(t *testing.T) {
 	fw, _ := writeCorpus(t)
 	o := cliOptions{cacheDir: filepath.Join(t.TempDir(), "cache"), workers: 2}
-	n, err := runDiff(o, fw, fw)
+	n, _, err := runDiff(o, fw, fw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestRunDiffExitCodeOnNewFindingsOnly(t *testing.T) {
 	if err := os.WriteFile(newFile, vp.New, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n, err = runDiff(o, oldFile, newFile)
+	n, _, err = runDiff(o, oldFile, newFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,12 +210,12 @@ func TestRunDiffExitCodeOnNewFindingsOnly(t *testing.T) {
 	// JSON and Markdown renderings of the same diff.
 	jo := o
 	jo.jsonOut = true
-	if _, err := runDiff(jo, oldFile, newFile); err != nil {
+	if _, _, err := runDiff(jo, oldFile, newFile); err != nil {
 		t.Fatal(err)
 	}
 	mo := o
 	mo.mdOut = filepath.Join(dir, "diff.md")
-	if _, err := runDiff(mo, oldFile, newFile); err != nil {
+	if _, _, err := runDiff(mo, oldFile, newFile); err != nil {
 		t.Fatal(err)
 	}
 	if data, err := os.ReadFile(mo.mdOut); err != nil || !strings.Contains(string(data), "# Firmware diff:") {
@@ -222,22 +223,50 @@ func TestRunDiffExitCodeOnNewFindingsOnly(t *testing.T) {
 	}
 }
 
+// -exit-code must not read a diff the stall watchdog cut short as a
+// clean release: a stalled self-diff has no new findings yet exits 3.
+func TestRunDiffStalledExitsThree(t *testing.T) {
+	fw, err := dtaint.GenerateStudyFirmware("DS-2CD6233F", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "camera.fwimg")
+	if err := os.WriteFile(file, fw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A 1ns deadline fires at the watchdog's first tick, long before the
+	// camera binary's analysis completes.
+	n, stalled, err := runDiff(cliOptions{workers: 1, stallWait: time.Nanosecond}, file, file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 || stalled == 0 {
+		t.Fatalf("new/stalled = %d/%d, want 0/>0", n, stalled)
+	}
+	if got := exitStatus(n, stalled); got != 3 {
+		t.Fatalf("exit status of a stalled diff = %d, want 3", got)
+	}
+	if exitStatus(1, stalled) != 2 || exitStatus(0, 0) != 0 {
+		t.Fatal("new findings must exit 2 and a clean run 0")
+	}
+}
+
 func TestRunDiffErrors(t *testing.T) {
 	fw, _ := writeCorpus(t)
-	if _, err := runDiff(cliOptions{}, "/no/such/old", fw); err == nil {
+	if _, _, err := runDiff(cliOptions{}, "/no/such/old", fw); err == nil {
 		t.Fatal("missing old image accepted")
 	}
-	if _, err := runDiff(cliOptions{}, fw, "/no/such/new"); err == nil {
+	if _, _, err := runDiff(cliOptions{}, fw, "/no/such/new"); err == nil {
 		t.Fatal("missing new image accepted")
 	}
-	if _, err := runDiff(cliOptions{workers: -1}, fw, fw); err == nil {
+	if _, _, err := runDiff(cliOptions{workers: -1}, fw, fw); err == nil {
 		t.Fatal("negative workers accepted")
 	}
 	junk := filepath.Join(t.TempDir(), "junk")
 	if err := os.WriteFile(junk, []byte("not firmware"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runDiff(cliOptions{}, junk, fw); err == nil {
+	if _, _, err := runDiff(cliOptions{}, junk, fw); err == nil {
 		t.Fatal("junk old image accepted")
 	}
 }
@@ -371,11 +400,11 @@ func TestProgressWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracer := dtaint.NewTracer()
+	// The journal alone drives -progress: no tracer is attached.
 	journal := dtaint.NewEventJournal(0)
 	var buf strings.Builder
-	attachProgress(journal, &buf)
-	a := dtaint.New(dtaint.WithTracer(tracer), dtaint.WithEventJournal(journal))
+	journal.AttachProgressPrinter(&buf)
+	a := dtaint.New(dtaint.WithEventJournal(journal))
 	if _, err := a.AnalyzeExecutable(raw); err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestJSONOutputsMatchSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := captureStdout(t, func() error {
-		_, err := runDiff(cliOptions{jsonOut: true}, oldFile, newFile)
+		_, _, err := runDiff(cliOptions{jsonOut: true}, oldFile, newFile)
 		return err
 	})
 	schematest.Check(t, "dtaint -diff -json", "diff", d)

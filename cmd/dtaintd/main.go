@@ -46,7 +46,7 @@
 // queued jobs are failed with a shutdown error.
 //
 // Live telemetry: every job appends typed, sequence-numbered events
-// (stage/binary lifecycle, decile progress with ETA, findings, stalls)
+// (job and stage/binary lifecycle, progress with ETA, stalls)
 // to a bounded in-memory journal (-journal sets the ring size).
 // GET /v1/jobs/{id}/events streams one job as Server-Sent Events —
 // buffered history first, then live — closing after the job's terminal
@@ -205,8 +205,6 @@ func (o serveOptions) config() (config, error) {
 		}
 		cfg.analysis.Vocab = v
 	}
-	cfg.analysis.Metrics = cfg.metrics
-	cfg.analysis.Log = logger
 	return cfg, nil
 }
 

@@ -16,7 +16,6 @@ import (
 func TestMetricsContentNegotiation(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := config{metrics: reg}
-	cfg.analysis.Metrics = reg
 	_, ts := startTestServer(t, cfg)
 
 	id := postScan(t, ts, testFirmware(t))
@@ -79,7 +78,6 @@ func TestMetricsContentNegotiation(t *testing.T) {
 func TestMetricsSnapshotConsistent(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := config{metrics: reg}
-	cfg.analysis.Metrics = reg
 	_, ts := startTestServer(t, cfg)
 	fw := testFirmware(t)
 

@@ -41,11 +41,12 @@ type config struct {
 	sumStore *sumstore.Store
 	// analysis configures every binary analysis.
 	analysis dataflow.Options
-	// metrics is the service registry /v1/metrics exposes; the analysis
-	// pipeline shares it via analysis.Metrics (nil = registry off, only
-	// the legacy JSON counters are served).
+	// metrics is the service registry /v1/metrics exposes; every job's
+	// span stream feeds it (nil = registry off, only the legacy JSON
+	// counters are served).
 	metrics *obs.Registry
-	// log receives job lifecycle lines (nil = logging off).
+	// log receives job lifecycle lines and every job's stage lines
+	// (nil = logging off).
 	log *slog.Logger
 	// journal is the live-telemetry event ring every job appends to and
 	// the SSE endpoints stream from (nil = telemetry off).
@@ -242,22 +243,14 @@ func (s *server) runJob(j *job) {
 		s.cfg.log.Info("job started", "job", j.id, "kind", j.kind, "bytes", len(data)+len(newData))
 	}
 
+	// Every job traces through its own tracer, so the job-scoped journal
+	// events, stage metrics, and stage log lines derived from its spans
+	// never mix with another job's, and the tracer's spans are released
+	// with the job. With no sink configured the job runs untraced.
 	aopts := s.cfg.analysis
-	if aopts.Log != nil {
-		aopts.Log = aopts.Log.With("job", j.id)
-	}
-	// Every job gets its own tracer bridged into the shared journal, so
-	// pipeline spans become job-scoped telemetry events without two
-	// jobs' spans ever mixing. Nil journal → nil emitter → every emit
-	// and the bridge registration below are no-ops.
-	em := s.cfg.journal.Emitter(j.id)
-	if em != nil {
-		tr := obs.NewTracer()
-		events.Bridge(tr, em)
-		aopts.Tracer = tr
-		aopts.Events = em
-	}
-	em.Emit(events.ScanEvent{Type: events.TypeJobStarted,
+	aopts.Tracer = events.Observe(nil, events.Sinks{Journal: s.cfg.journal, Job: j.id,
+		Metrics: s.cfg.metrics, Log: s.cfg.log})
+	s.cfg.journal.Append(events.ScanEvent{Type: events.TypeJobStarted, Job: j.id,
 		Attrs: map[string]any{"kind": j.kind}})
 	if j.vocab != nil {
 		// Per-request override beats the server default. The vocabulary
@@ -309,22 +302,19 @@ func (s *server) finishJob(j *job, rep *fleet.ImageReport, drep *diff.Report, er
 	}
 	s.mu.Unlock()
 
-	em := s.cfg.journal.Emitter(j.id)
+	ev := events.ScanEvent{Type: events.TypeJobDone, Job: j.id}
 	switch {
 	case err != nil:
-		em.Emit(events.ScanEvent{Type: events.TypeJobFailed,
-			Attrs: map[string]any{"error": err.Error()}})
+		ev.Type = events.TypeJobFailed
+		ev.Attrs = map[string]any{"error": err.Error()}
 	case rep != nil:
-		em.Emit(events.ScanEvent{Type: events.TypeJobDone, Attrs: map[string]any{
-			"candidates": rep.Candidates, "vulnerabilities": rep.Vulnerabilities,
-			"stalled": rep.Stalled}})
+		ev.Attrs = map[string]any{"candidates": rep.Candidates,
+			"vulnerabilities": rep.Vulnerabilities, "stalled": rep.Stalled}
 	case drep != nil:
-		em.Emit(events.ScanEvent{Type: events.TypeJobDone, Attrs: map[string]any{
-			"new": drep.NewFindings, "fixed": drep.FixedFindings,
-			"persisting": drep.PersistingFindings}})
-	default:
-		em.Emit(events.ScanEvent{Type: events.TypeJobDone})
+		ev.Attrs = map[string]any{"new": drep.NewFindings, "fixed": drep.FixedFindings,
+			"persisting": drep.PersistingFindings}
 	}
+	s.cfg.journal.Append(ev)
 
 	s.mu.Lock()
 	j.finished = time.Now()
@@ -583,10 +573,8 @@ func (s *server) enqueue(w http.ResponseWriter, j *job) {
 		s.mu.Lock()
 		s.jobsAccepted++
 		s.mu.Unlock()
-		s.cfg.journal.Emitter(j.id).Emit(events.ScanEvent{
-			Type:  events.TypeJobQueued,
-			Attrs: map[string]any{"kind": j.kind, "bytes": bytes},
-		})
+		s.cfg.journal.Append(events.ScanEvent{Type: events.TypeJobQueued, Job: j.id,
+			Attrs: map[string]any{"kind": j.kind, "bytes": bytes}})
 		if s.cfg.log != nil {
 			s.cfg.log.Info("job accepted", "job", j.id, "kind", j.kind, "bytes", bytes)
 		}
@@ -748,7 +736,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		reg.Counter("dtaint_cache_misses_total", "Report cache misses.", nil).Store(m.Cache.Misses)
 		reg.Counter("dtaint_cache_evictions_total", "Report cache LRU evictions.", nil).Store(m.Cache.Evictions)
 		reg.Gauge("dtaint_cache_entries", "Report cache in-memory entries.", nil).Set(float64(m.Cache.Entries))
+		m.Cache.Publish(reg)
 	}
+	s.cfg.sumStore.PublishMetrics(reg)
 
 	// Content negotiation: Prometheus scrapers ask for text/plain, API
 	// clients get the JSON view (registry snapshot included).

@@ -11,10 +11,10 @@
 //
 //  2. guarded-obs-call — the nil-safe-handle contract. Every handle in
 //     internal/obs (Registry, Tracer, Span, Counter, Gauge, Histogram)
-//     and internal/obs/events (Journal, Emitter, Watchdog, Sub) is
-//     nil-safe by design: a nil registry hands out live throwaway
-//     instruments, a nil tracer produces no-op spans, and a nil emitter
-//     swallows events. Wrapping an instrumentation call in
+//     and internal/obs/events (Journal, Watchdog, Sub) is nil-safe by
+//     design: a nil registry hands out live throwaway instruments, a
+//     nil tracer produces no-op spans, and a nil journal swallows
+//     events. Wrapping an instrumentation call in
 //     `if h != nil { h.Observe(...) }` — or guarding a whole recording
 //     function with `if h == nil { return }` — is therefore dead weight
 //     that rots into inconsistently-guarded telemetry; the guard must
@@ -295,7 +295,7 @@ func isObsHandle(name string) bool {
 // one of the nil-safe telemetry handles.
 func isEventsHandle(name string) bool {
 	switch name {
-	case "Journal", "Emitter", "Watchdog", "Sub":
+	case "Journal", "Watchdog", "Sub":
 		return true
 	}
 	return false
@@ -308,9 +308,8 @@ var obsMethods = map[string]bool{
 	"Inc": true, "Add": true, "Store": true, "Set": true, "Observe": true,
 	"Counter": true, "Gauge": true, "Histogram": true, "Snapshot": true,
 	"WriteJSON": true, "WritePrometheus": true, "WriteChromeTrace": true,
-	"StartSpan": true, "SetAttr": true, "OnSpanStart": true, "OnSpanEnd": true,
-	"Emit": true, "Progress": true, "ProgressDecile": true, "WithPath": true,
-	"Emitter": true,
+	"StartSpan": true, "StartChild": true, "SetAttr": true, "End": true, "Subscribe": true,
+	"Append": true, "Stalled": true,
 }
 
 // ---------------------------------------------------------------------------

@@ -227,16 +227,16 @@ func TestGuardedEventsCallFlagged(t *testing.T) {
 import "dtaint/internal/obs/events"
 
 type opts struct {
-	Events *events.Emitter
+	Events *events.Journal
 }
 
 func record(o opts, done, total int) {
 	if o.Events != nil {
-		o.Events.Progress("binaries", done, total)
+		o.Events.Append(events.ScanEvent{Done: done, Total: total})
 	}
-	em := events.NewJournal(0).Emitter("job")
-	if em != nil {
-		em.Emit(events.ScanEvent{})
+	w := events.StartWatchdog(events.WatchdogConfig{})
+	if w != nil {
+		w.Stop()
 	}
 }
 `)
@@ -258,11 +258,11 @@ func record(reg *obs.Registry, n int) {
 	reg.Counter("n", "help", nil).Add(uint64(n))
 }
 
-func emit(em *events.Emitter) {
-	if em == nil {
+func emit(j *events.Journal) {
+	if j == nil {
 		return
 	}
-	em.Emit(events.ScanEvent{})
+	j.Append(events.ScanEvent{})
 }
 `)
 	wantRule(t, findings, "guarded-obs-call", 2)

@@ -1,6 +1,7 @@
 package dtaint
 
 import (
+	"cmp"
 	"context"
 
 	"dtaint/internal/diff"
@@ -77,5 +78,10 @@ const (
 // ScanFirmwareFleet — workers, timeout, stall watchdog, debug bundles,
 // caches, filters, progress — configures the binaries' runner.
 func (a *Analyzer) ScanFirmwareDiff(ctx context.Context, oldImage, newImage []byte, opts ...FleetOption) (*DiffReport, error) {
-	return diff.Diff(ctx, oldImage, newImage, a.fleetOptions(opts))
+	fo := a.fleetOptions(opts)
+	rep, err := diff.Diff(ctx, oldImage, newImage, fo)
+	if err == nil {
+		a.publish(rep.Cache, cmp.Or(fo.SummaryStore, fo.Analysis.SummaryStore).Stats())
+	}
+	return rep, err
 }

@@ -252,9 +252,10 @@ func WithVocabulary(v *Vocabulary) Option {
 // New.
 type Analyzer struct {
 	opts dataflow.Options
-	// journal is the live-telemetry event ring attached with
-	// WithEventJournal; New wires it into the analysis options.
-	journal *events.Journal
+	// sinks are the telemetry surfaces attached with WithEventJournal,
+	// WithMetrics, and WithLogger; every call derives them from its span
+	// stream (see traced).
+	sinks events.Sinks
 }
 
 // New returns an Analyzer with the paper's default configuration.
@@ -263,16 +264,17 @@ func New(opts ...Option) *Analyzer {
 	for _, o := range opts {
 		o(a)
 	}
-	// Wire telemetry after all options have applied, so the result does
-	// not depend on the order of WithTracer and WithEventJournal: the
-	// journal gets an emitter the analysis emits progress and finding
-	// events through, and — when a tracer is attached too — every span
-	// start/end is bridged into the journal as a typed event.
-	a.opts.Events = a.journal.Emitter("")
-	if a.opts.Events != nil {
-		events.Bridge(a.opts.Tracer, a.opts.Events)
-	}
 	return a
+}
+
+// traced returns the analysis options one call runs with: the span
+// stream it reports through feeds the Analyzer's sinks. Without
+// WithTracer, a call with any sink gets a tracer that lives for the
+// call, so no span list grows over the Analyzer's lifetime.
+func (a *Analyzer) traced() dataflow.Options {
+	opts := a.opts
+	opts.Tracer = events.Observe(opts.Tracer, a.sinks)
+	return opts
 }
 
 // Errors returned by the analyzer entry points.
@@ -287,23 +289,25 @@ var (
 // executable at binaryPath, and analyzes it. If binaryPath is empty, the
 // first executable that parses as a program image is analyzed.
 func (a *Analyzer) AnalyzeFirmware(data []byte, binaryPath string) (*Report, error) {
-	st := a.opts.StartStage("unpack-firmware", obs.KV("bytes", len(data)))
+	opts := a.traced()
+	defer func() { a.publish(fleet.CacheStats{}, opts.SummaryStore.Stats()) }()
+	st := opts.Tracer.Start(opts.ParentSpan, "unpack-firmware", obs.KV("bytes", len(data)))
 	_, fs, err := firmware.Unpack(data)
 	if err != nil {
 		st.End()
 		return nil, fmt.Errorf("unpack firmware: %w", err)
 	}
-	st.End("files", len(fs.Files))
+	st.End(obs.KV("files", len(fs.Files)))
 	if binaryPath != "" {
 		f, err := fs.Lookup(binaryPath)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %q", ErrNoBinary, binaryPath)
 		}
-		return fleet.AnalyzeBinary(f, a.opts)
+		return fleet.AnalyzeBinary(f, opts)
 	}
 	for _, f := range fs.Files {
 		if _, err := image.Parse(f.Data); err == nil {
-			return fleet.AnalyzeBinary(f, a.opts)
+			return fleet.AnalyzeBinary(f, opts)
 		}
 	}
 	return nil, ErrNoBinary
@@ -311,7 +315,9 @@ func (a *Analyzer) AnalyzeFirmware(data []byte, binaryPath string) (*Report, err
 
 // AnalyzeExecutable analyzes a serialized program image (FWELF bytes).
 func (a *Analyzer) AnalyzeExecutable(data []byte) (*Report, error) {
-	return fleet.AnalyzeBinary(firmware.File{Path: "executable", Data: data}, a.opts)
+	opts := a.traced()
+	defer func() { a.publish(fleet.CacheStats{}, opts.SummaryStore.Stats()) }()
+	return fleet.AnalyzeBinary(firmware.File{Path: "executable", Data: data}, opts)
 }
 
 // Sources returns the attacker-controlled input functions of Table I.

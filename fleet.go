@@ -1,6 +1,7 @@
 package dtaint
 
 import (
+	"cmp"
 	"context"
 	"time"
 
@@ -112,7 +113,7 @@ type FleetOption func(*fleet.Options)
 // fleetOptions applies opts over the Analyzer's own analysis options —
 // the one construction behind every image, corpus, and diff scan.
 func (a *Analyzer) fleetOptions(opts []FleetOption) fleet.Options {
-	fo := fleet.Options{Analysis: a.opts}
+	fo := fleet.Options{Analysis: a.traced()}
 	for _, o := range opts {
 		o(&fo)
 	}
@@ -201,7 +202,12 @@ func WithFleetDebugDir(dir string) FleetOption {
 // and binary-sharing fleets cheap. The Analyzer's own options (filters,
 // ablations, custom sources/sinks, parallelism) apply to every binary.
 func (a *Analyzer) ScanFirmwareFleet(ctx context.Context, data []byte, opts ...FleetOption) (*ImageReport, error) {
-	return fleet.ScanImage(ctx, data, a.fleetOptions(opts))
+	fo := a.fleetOptions(opts)
+	rep, err := fleet.ScanImage(ctx, data, fo)
+	if err == nil {
+		a.publish(rep.Cache, cmp.Or(fo.SummaryStore, fo.Analysis.SummaryStore).Stats())
+	}
+	return rep, err
 }
 
 // ScanFirmwareCorpus scans a corpus of firmware images with one report
@@ -213,5 +219,9 @@ func (a *Analyzer) ScanFirmwareFleet(ctx context.Context, data []byte, opts ...F
 // are scanned sequentially, each fanning its binaries across the worker
 // pool; cancelling ctx stops new work.
 func (a *Analyzer) ScanFirmwareCorpus(ctx context.Context, images [][]byte, opts ...FleetOption) (*CorpusReport, error) {
-	return fleet.ScanCorpus(ctx, images, a.fleetOptions(opts))
+	rep, err := fleet.ScanCorpus(ctx, images, a.fleetOptions(opts))
+	if err == nil {
+		a.publish(rep.Cache, rep.SummaryStore)
+	}
+	return rep, err
 }

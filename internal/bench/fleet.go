@@ -41,12 +41,10 @@ func Fleet(w io.Writer, scale float64) (*FleetRecord, error) {
 	rec := &FleetRecord{Workers: Table7Workers()}
 	fmt.Fprintln(w, "Pass    Firmware      Binaries  Scanned  Cached  Vulns  Paths  Wall(s)")
 	for _, name := range []string{"cold", "warm"} {
-		tracer := obs.NewTracer()
 		// Each pass carries a live event journal so the record captures
 		// telemetry throughput alongside the scan timings.
 		journal := events.NewJournal(0)
-		em := journal.Emitter(name)
-		events.Bridge(tracer, em)
+		tracer := events.Observe(obs.NewTracer(), events.Sinks{Journal: journal, Job: name})
 		var reports []*fleet.ImageReport
 		t0 := time.Now()
 		for i, spec := range specs {
@@ -55,7 +53,6 @@ func Fleet(w io.Writer, scale float64) (*FleetRecord, error) {
 				Cache:   cache,
 			}
 			opts.Analysis.Tracer = tracer
-			opts.Analysis.Events = em
 			rep, err := fleet.ScanImage(context.Background(), images[i], opts)
 			if err != nil {
 				return nil, err

@@ -139,7 +139,7 @@ type FleetPass struct {
 	WallSeconds     float64            `json:"wallSeconds"`
 	StageSeconds    map[string]float64 `json:"stageSeconds"`
 	// Telemetry throughput: the pass runs with a live event journal
-	// attached (span bridge included), so the record captures how many
+	// attached (every event span-derived), so the record captures how many
 	// events the scan produced, the publish rate, and the journal ring's
 	// peak occupancy.
 	Events           uint64  `json:"events"`

@@ -40,7 +40,6 @@ package dataflow
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"sort"
 	"strings"
@@ -52,7 +51,6 @@ import (
 	"dtaint/internal/expr"
 	"dtaint/internal/image"
 	"dtaint/internal/obs"
-	"dtaint/internal/obs/events"
 	"dtaint/internal/sse"
 	"dtaint/internal/structsim"
 	"dtaint/internal/sumstore"
@@ -114,26 +112,17 @@ type Options struct {
 	// value, including 1 (the fully sequential schedule).
 	Parallelism int
 
-	// Tracer records pipeline-stage spans (nil = tracing off). Observability
-	// handles never influence analysis results and are excluded from fleet
-	// cache fingerprints.
+	// Tracer records pipeline-stage spans (nil = telemetry off). It is
+	// the analysis's only telemetry handle: every count a stage reports
+	// is an attr on its span, and the journal events, stage metrics, and
+	// stage log lines are derived from the span stream by the
+	// subscribers events.Observe attaches. Observability never
+	// influences analysis results and is excluded from cache
+	// fingerprints.
 	Tracer *obs.Tracer
 	// ParentSpan nests this analysis's stage spans under an enclosing span
 	// (e.g. a fleet scan's per-binary span). Nil makes stages root spans.
 	ParentSpan *obs.Span
-	// Metrics receives stage counters and the per-function time /
-	// states-explored histograms (nil = collection off).
-	Metrics *obs.Registry
-	// Log receives structured per-stage logs (nil = logging off).
-	Log *slog.Logger
-	// Events receives first-class telemetry events: per-stage progress
-	// at decile granularity, one event per finding after the
-	// deterministic merge, and a summary-store stats event. Stage
-	// start/end events come from the span→event bridge over Tracer, not
-	// from here. Nil disables emission; like the other observability
-	// handles, Events never influences results and is excluded from
-	// cache fingerprints.
-	Events *events.Emitter
 }
 
 // DefaultOptions returns the paper's default configuration: every
@@ -163,37 +152,6 @@ func (o *Options) Ablate(list string) error {
 		}
 	}
 	return nil
-}
-
-// Stage couples one pipeline stage's span and log lines. Other pipeline
-// layers (the root package, internal/fleet) reuse it so every stage
-// traces and logs identically.
-type Stage struct {
-	span  *obs.Span
-	log   *slog.Logger
-	name  string
-	start time.Time
-}
-
-// StartStage opens a stage span under Options.ParentSpan and emits a
-// debug start line. All handles are nil-safe.
-func (o Options) StartStage(name string, attrs ...obs.Attr) *Stage {
-	st := &Stage{log: o.Log, name: name, start: time.Now()}
-	st.span = o.Tracer.Start(o.ParentSpan, name, attrs...)
-	if o.Log != nil {
-		o.Log.Debug("stage start", "stage", name)
-	}
-	return st
-}
-
-// End closes the stage span and logs completion; extra args are
-// alternating slog key/value pairs.
-func (st *Stage) End(args ...any) {
-	st.span.End()
-	if st.log != nil {
-		all := append([]any{"stage", st.name, "seconds", time.Since(st.start).Seconds()}, args...)
-		st.log.Info("stage done", all...)
-	}
 }
 
 // newTracker builds a tracker with the configured vocabulary and access
@@ -364,10 +322,10 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 	// indirect callsites. Functions are independent, so the phase fans
 	// out across workers (each with its own tracker).
 	t0 := time.Now()
-	st := opts.StartStage("function-analysis", obs.KV("functions", len(names)))
-	phase1 := runPhase1(prog, names, opts, fp, res, st.span)
+	st := opts.Tracer.Start(opts.ParentSpan, "function-analysis", obs.KV("functions", len(names)))
+	phase1 := runPhase1(prog, names, opts, fp, res, st)
 	res.SSATime = time.Since(t0)
-	st.End("functions", len(names))
+	st.End()
 
 	// Phase 2: indirect-call resolution. By default each callsite is
 	// resolved from SSE equivalence classes (registration and dispatch
@@ -376,70 +334,44 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 	// tie-breaker; ablating SSE falls back to pure layout-similarity
 	// resolution, and ablating structsim skips the phase entirely.
 	if !opts.DisableStructSim {
-		st = opts.StartStage("structsim")
+		st = opts.Tracer.Start(opts.ParentSpan, "structsim")
 		if opts.DisableSSE {
 			res.Resolutions = structsim.ResolveIndirect(phase1)
 		} else {
 			res.Resolutions, res.Resolve = resolveIndirectSSE(phase1)
-			st.span.SetAttr("by_sse", res.Resolve.BySSE)
-			st.span.SetAttr("by_structsim", res.Resolve.ByStructSim)
+			st.SetAttr("by_sse", res.Resolve.BySSE)
+			st.SetAttr("by_structsim", res.Resolve.ByStructSim)
 		}
 		for _, r := range res.Resolutions {
 			prog.AddCallEdge(r.Caller, r.Site, r.Callee)
 		}
-		st.End("resolved", len(res.Resolutions))
+		st.End(obs.KV("resolved", len(res.Resolutions)))
 	}
 
 	// Phase 3+4: bottom-up interprocedural data flow with alias rewriting,
-	// scheduled over the condensed call graph's SCC DAG.
+	// scheduled over the condensed call graph's SCC DAG. The stage
+	// declares its component total up front: finished scc-component
+	// spans count against it as progress.
 	t1 := time.Now()
-	st = opts.StartStage("interproc-dataflow", obs.KV("functions", len(names)))
-	runBottomUp(prog, names, opts, fp, res, st.span)
+	cond := prog.Condense(names)
+	st = opts.Tracer.Start(opts.ParentSpan, "interproc-dataflow",
+		obs.KV("functions", len(names)), obs.KV("components", len(cond.Comps)))
+	runBottomUp(prog, cond, opts, fp, res, st)
 	res.DDGTime = time.Since(t1)
-	st.End("workers", res.Parallel.Workers,
-		"components", res.Parallel.Components,
-		"findings", len(res.Findings))
+	st.End(obs.KV("workers", res.Parallel.Workers), obs.KV("findings", len(res.Findings)),
+		obs.KV("defpairs", res.DefPairCount), obs.KV("truncated", res.Truncated),
+		obs.KV("alias_added", res.Alias.Added), obs.KV("alias_dropped", res.Alias.Dropped))
 
-	st = opts.StartStage("count-sinks")
+	st = opts.Tracer.Start(opts.ParentSpan, "count-sinks")
 	res.SinkCount = countSinks(prog, names, res.Summaries, opts)
-	st.End("sinks", res.SinkCount)
-
-	// Findings are emitted after the deterministic per-component merge,
-	// so their multiset (and even their order) is worker-count-independent.
-	for _, f := range res.Findings {
-		opts.Events.Emit(events.ScanEvent{Type: events.TypeFinding, Attrs: map[string]any{
-			"class":     f.Class.String(),
-			"sink":      f.Sink,
-			"sinkFunc":  f.SinkFunc,
-			"sinkAddr":  f.SinkAddr,
-			"source":    f.Source,
-			"sanitized": f.Sanitized,
-		}})
-	}
-	if opts.SummaryStore != nil {
-		opts.Events.Emit(events.ScanEvent{Type: events.TypeSumStore, Attrs: map[string]any{
-			"hits":   res.SumStore.Hits,
-			"misses": res.SumStore.Misses,
-		}})
-	}
-
-	opts.Metrics.Counter("dtaint_functions_analyzed_total",
-		"Functions analyzed by the interprocedural pass.", nil).Add(uint64(res.FunctionsAnalyzed))
-	opts.Metrics.Counter("dtaint_defpairs_total",
-		"Definition pairs in generated data flows.", nil).Add(uint64(res.DefPairCount))
-	opts.Metrics.Counter("dtaint_findings_total",
-		"Source-to-sink findings, sanitized included.", nil).Add(uint64(len(res.Findings)))
-	opts.Metrics.Counter("dtaint_truncated_functions_total",
-		"Functions that hit the symbolic state cap.", nil).Add(uint64(res.Truncated))
-	if opts.SummaryStore != nil {
-		opts.SummaryStore.PublishMetrics(opts.Metrics)
-	}
+	st.End(obs.KV("sinks", res.SinkCount))
 	return res, nil
 }
 
 // runPhase1 analyzes every function independently, in parallel. stageSpan
-// (nil when tracing is off) parents one "ssa-function" span per unit —
-// the events -progress counts against the stage's "functions" total.
+// (nil when tracing is off) parents one "ssa-function" span per unit,
+// replayed units included — the units progress counts against the
+// stage's "functions" total.
 // With a summary store, each function's phase-1 key is consulted first:
 // phase 1 applies no callee summaries and its scratch tracker's
 // side-effects are discarded, so a stored summary replays the unit
@@ -462,32 +394,19 @@ func runPhase1(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fin
 			keys[i] = fp.FuncKey(name)
 		}
 	}
-	fnSec := opts.Metrics.Histogram("dtaint_fn_ssa_seconds",
-		"Per-function symbolic analysis time (phase 1).", obs.DefTimeBuckets, nil)
-	fnStates := opts.Metrics.Histogram("dtaint_fn_states_explored",
-		"Symbolic states explored per function.", obs.ExpBuckets(1, 4, 8), nil)
 	var hits, misses atomic.Int64
-	var completed atomic.Int64
 	analyzeOne := func(scratch *taint.Tracker, i int, name string) *symexec.Summary {
-		defer func() {
-			// The atomic counter hands every unit a unique done value, so
-			// the decile-crossing progress events are deterministic for
-			// any worker interleaving.
-			opts.Events.ProgressDecile("function-analysis", int(completed.Add(1)), len(names))
-		}()
+		sp := stageSpan.StartChild("ssa-function", obs.KV("fn", name))
 		if store != nil {
 			if sum, ok := store.GetSummary(keys[i]); ok {
 				hits.Add(1)
+				sp.End(obs.KV("replayed", true))
 				return sum
 			}
 		}
-		sp := stageSpan.StartChild("ssa-function", obs.KV("fn", name))
-		t0 := time.Now()
 		scratch.BeginFunction(name)
 		sum := symexec.Analyze(prog.ByName[name], prog.Binary, scratch, opts.Symexec)
-		fnSec.Observe(time.Since(t0).Seconds())
-		fnStates.Observe(float64(sum.StatesExplored))
-		sp.End()
+		sp.End(obs.KV("states", sum.StatesExplored))
 		if store != nil {
 			misses.Add(1)
 			store.PutSummary(keys[i], sum)
@@ -521,6 +440,10 @@ func runPhase1(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fin
 	}
 	res.SumStore.Hits += int(hits.Load())
 	res.SumStore.Misses += int(misses.Load())
+	if store != nil {
+		stageSpan.SetAttr("store_hits", int(hits.Load()))
+		stageSpan.SetAttr("store_misses", int(misses.Load()))
+	}
 	out := make(map[string]*symexec.Summary, len(names))
 	for i, name := range names {
 		out[name] = sums[i]

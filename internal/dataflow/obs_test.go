@@ -8,6 +8,7 @@ import (
 	"dtaint/internal/cfg"
 	"dtaint/internal/corpus"
 	"dtaint/internal/obs"
+	"dtaint/internal/obs/events"
 )
 
 // spanSet renders the (Name, fn-attr) multiset of a trace — the part of
@@ -85,7 +86,8 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
-		res, err := Analyze(prog, Options{Parallelism: workers, Metrics: reg})
+		tr := events.Observe(nil, events.Sinks{Metrics: reg})
+		res, err := Analyze(prog, Options{Parallelism: workers, Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +137,8 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 		return fingerprint(res)
 	}
 	plain := run(Options{Parallelism: 2})
-	observed := run(Options{Parallelism: 2, Tracer: obs.NewTracer(), Metrics: obs.NewRegistry()})
+	observed := run(Options{Parallelism: 2, Tracer: events.Observe(obs.NewTracer(),
+		events.Sinks{Journal: events.NewJournal(0), Metrics: obs.NewRegistry()})})
 	if plain != observed {
 		t.Fatalf("observability changed results:\n--- plain ---\n%s--- observed ---\n%s", plain, observed)
 	}

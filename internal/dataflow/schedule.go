@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dtaint/internal/alias"
 	"dtaint/internal/cfg"
@@ -30,8 +29,11 @@ import (
 // contribution — exported summaries, climbing pending sinks, findings,
 // and counters — so the published state and the merged result are
 // byte-for-byte what a fresh execution would produce.
-func runBottomUp(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fingerprinter, res *Result, stageSpan *obs.Span) {
-	cond := prog.Condense(names)
+//
+// stageSpan (nil when tracing is off) parents one "scc-component" span
+// per component, replayed ones included — the units progress counts
+// against the stage's "components" total.
+func runBottomUp(prog *cfg.Program, cond *cfg.Condensation, opts Options, fp *sumstore.Fingerprinter, res *Result, stageSpan *obs.Span) {
 	store := opts.SummaryStore
 	var keys []string
 	if store != nil {
@@ -53,20 +55,6 @@ func runBottomUp(prog *cfg.Program, names []string, opts Options, fp *sumstore.F
 		Workers:      workers,
 		Components:   len(cond.Comps),
 		CriticalPath: cond.CriticalPath(),
-	}
-	stageSpan.SetAttr("workers", workers)
-	stageSpan.SetAttr("components", len(cond.Comps))
-
-	bo := bottomUpObs{
-		stage: stageSpan,
-		fnSec: opts.Metrics.Histogram("dtaint_fn_ddg_seconds",
-			"Per-function interprocedural data-flow time (phase 3+4).", obs.DefTimeBuckets, nil),
-		fnStates: opts.Metrics.Histogram("dtaint_fn_states_explored",
-			"Symbolic states explored per function.", obs.ExpBuckets(1, 4, 8), nil),
-		aliasAdded: opts.Metrics.Counter("dtaint_alias_pairs_added_total",
-			"Alias pairs synthesized by the rewrite pass.", nil),
-		aliasDropped: opts.Metrics.Counter("dtaint_alias_pairs_dropped_total",
-			"Synthesized alias pairs discarded past the rewrite budget.", nil),
 	}
 
 	base := newTracker(opts, prog.Binary)
@@ -110,26 +98,29 @@ func runBottomUp(prog *cfg.Program, names []string, opts Options, fp *sumstore.F
 
 				var r compResult
 				replayed := false
+				compSpan := stageSpan.StartChild("scc-component",
+					obs.KV("index", i), obs.KV("functions", len(cond.Comps[i])))
 				if store != nil {
 					if ent, ok := store.GetEntry(keys[i]); ok {
 						r = entryToComp(ent)
 						replayed = true
 						storeHits.Add(1)
+						compSpan.SetAttr("replayed", true)
 					}
 				}
 				if !replayed {
-					r = analyzeComponent(prog, opts, base, shared, cond.Comps[i], i, bo)
-					if store != nil {
-						storeMisses.Add(1)
-						store.PutEntry(keys[i], compToEntry(cond.Comps[i], r))
-					}
+					r = analyzeComponent(prog, opts, base, shared, cond.Comps[i], compSpan)
+				}
+				compSpan.End()
+				if !replayed && store != nil {
+					storeMisses.Add(1)
+					store.PutEntry(keys[i], compToEntry(cond.Comps[i], r))
 				}
 				shared.publish(r)
 				done[i] = r
 
 				mu.Lock()
 				remaining--
-				completed := len(cond.Comps) - remaining
 				for _, caller := range cond.Callers[i] {
 					deps[caller]--
 					if deps[caller] == 0 {
@@ -138,16 +129,16 @@ func runBottomUp(prog *cfg.Program, names []string, opts Options, fp *sumstore.F
 				}
 				cv.Broadcast()
 				mu.Unlock()
-				// completed is mutex-ordered and therefore unique per
-				// component, keeping the decile progress events
-				// deterministic for any worker count.
-				opts.Events.ProgressDecile("interproc-dataflow", completed, len(cond.Comps))
 			}
 		}()
 	}
 	wg.Wait()
 	res.SumStore.Hits += int(storeHits.Load())
 	res.SumStore.Misses += int(storeMisses.Load())
+	if store != nil {
+		stageSpan.SetAttr("store_hits", int(storeHits.Load()))
+		stageSpan.SetAttr("store_misses", int(storeMisses.Load()))
+	}
 
 	// Deterministic merge: concatenate per-component results in the
 	// condensation's (reverse topological) order — exactly the order the
@@ -246,22 +237,11 @@ func entryToComp(ent *sumstore.Entry) compResult {
 	return r
 }
 
-// bottomUpObs carries the bottom-up pass's observability handles into
-// component workers: the stage span to nest under, the per-function
-// histograms, and the alias-rewrite counters. All fields are nil-safe.
-type bottomUpObs struct {
-	stage        *obs.Span
-	fnSec        *obs.Histogram
-	fnStates     *obs.Histogram
-	aliasAdded   *obs.Counter
-	aliasDropped *obs.Counter
-}
-
 // analyzeComponent runs Algorithm 2 over one SCC component with a private
 // tracker shard. Functions inside the component are processed in sorted
 // order (the component's fixed order), mirroring the sequential pass;
 // lookups prefer the in-flight component, then the published state.
-func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shared *bottomUpState, comp []string, idx int, bo bottomUpObs) compResult {
+func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shared *bottomUpState, comp []string, compSpan *obs.Span) compResult {
 	shard := base.Shard()
 	local := make(map[string]*symexec.Summary, len(comp))
 	oracle := &interOracle{
@@ -284,11 +264,8 @@ func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shar
 		summaries: local,
 		pendings:  make(map[string][]taint.PendingSink, len(comp)),
 	}
-	compSpan := bo.stage.StartChild("scc-component",
-		obs.KV("index", idx), obs.KV("functions", len(comp)))
 	for _, name := range comp {
 		fnSpan := compSpan.StartChild("ddg-function", obs.KV("fn", name))
-		t0 := time.Now()
 		shard.BeginFunction(name)
 		sum := symexec.Analyze(prog.ByName[name], prog.Binary, oracle, opts.Symexec)
 		if !opts.DisableAlias {
@@ -300,24 +277,19 @@ func analyzeComponent(prog *cfg.Program, opts Options, base *taint.Tracker, shar
 			}
 			fnSpan.SetAttr("alias_added", ast.Added)
 			fnSpan.SetAttr("alias_dropped", ast.Dropped)
-			bo.aliasAdded.Add(uint64(ast.Added))
-			bo.aliasDropped.Add(uint64(ast.Dropped))
 			out.alias.Merge(AliasStats{
 				Added: ast.Added, Dropped: ast.Dropped,
 				Classes: ast.Classes, Intern: ast.Intern,
 			})
 		}
 		shard.EndFunction(sum)
-		bo.fnSec.Observe(time.Since(t0).Seconds())
-		bo.fnStates.Observe(float64(sum.StatesExplored))
-		fnSpan.End()
+		fnSpan.End(obs.KV("states", sum.StatesExplored))
 		local[name] = sum
 		out.defPairs += len(sum.DefPairs)
 		if sum.Truncated {
 			out.truncated++
 		}
 	}
-	compSpan.End()
 	for _, name := range comp {
 		if ps := shard.Pendings(name); len(ps) > 0 {
 			out.pendings[name] = ps

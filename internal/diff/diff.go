@@ -59,10 +59,10 @@ func Diff(ctx context.Context, oldData, newData []byte, opts Options) (*Report, 
 	start := time.Now()
 
 	diffSpan := opts.Analysis.Tracer.Start(opts.Analysis.ParentSpan, "diff-images")
+	defer diffSpan.End() // the error paths; success ends it with its counts
 	opts.Analysis.ParentSpan = diffSpan
-	defer diffSpan.End()
 
-	st := opts.Analysis.StartStage("unpack-images",
+	st := diffSpan.StartChild("unpack-images",
 		obs.KV("oldBytes", len(oldData)), obs.KV("newBytes", len(newData)))
 	oldImg, oldBins, err := fleet.Candidates(oldData, opts)
 	if err != nil {
@@ -74,25 +74,22 @@ func Diff(ctx context.Context, oldData, newData []byte, opts Options) (*Report, 
 		st.End()
 		return nil, fmt.Errorf("diff: new image: %w", err)
 	}
-	st.End("oldCandidates", len(oldBins), "newCandidates", len(newBins))
+	st.End(obs.KV("oldCandidates", len(oldBins)), obs.KV("newCandidates", len(newBins)))
 	diffSpan.SetAttr("product", newImg.Header.Product)
 
-	st = opts.Analysis.StartStage("pair-binaries")
+	st = diffSpan.StartChild("pair-binaries")
 	pairs := pairBinaries(oldBins, newBins)
 	waves := planUnits(pairs)
-	units := len(waves[0]) + len(waves[1])
-	st.End("pairs", len(pairs), "units", units)
+	st.End(obs.KV("pairs", len(pairs)), obs.KV("units", len(waves[0])+len(waves[1])))
 
 	// The old-image wave runs first so a changed binary's new version
 	// finds the old version's function summaries already in the store.
-	st = opts.Analysis.StartStage("analyze-units", obs.KV("units", units))
-	results := make(map[string]fleet.BinaryScan, units)
+	results := make(map[string]fleet.BinaryScan)
 	for _, wave := range fleet.RunWaves(ctx, newImg.Header, waves, opts) {
 		for _, bs := range wave {
 			results[bs.SHA256] = bs
 		}
 	}
-	st.End()
 
 	rep := &Report{
 		Old: identityOf(oldImg.Header.Vendor, oldImg.Header.Product,
@@ -108,6 +105,9 @@ func Diff(ctx context.Context, oldData, newData []byte, opts Options) (*Report, 
 		case SourceFresh:
 			rep.Reanalyzed++
 		}
+		if bs.Status == fleet.StatusStalled {
+			rep.Stalled++
+		}
 	}
 	for _, p := range pairs {
 		rep.Binaries = append(rep.Binaries, assemblePair(p, results))
@@ -117,16 +117,12 @@ func Diff(ctx context.Context, oldData, newData []byte, opts Options) (*Report, 
 	if opts.Cache != nil {
 		rep.Cache = opts.Cache.Stats()
 	}
-	recordDiffMetrics(opts.Analysis.Metrics, rep)
-	if opts.Analysis.Log != nil {
-		opts.Analysis.Log.Info("diff-images done",
-			"unchanged", rep.Unchanged, "changed", rep.Changed,
-			"added", rep.Added, "removed", rep.Removed,
-			"replayed", rep.Replayed, "reanalyzed", rep.Reanalyzed,
-			"new", rep.NewFindings, "fixed", rep.FixedFindings,
-			"persisting", rep.PersistingFindings,
-			"seconds", rep.Wall.Seconds())
-	}
+	diffSpan.End(obs.KV("unchanged", rep.Unchanged), obs.KV("changed", rep.Changed),
+		obs.KV("added", rep.Added), obs.KV("removed", rep.Removed),
+		obs.KV("moved", rep.Moved), obs.KV("replayed", rep.Replayed),
+		obs.KV("reanalyzed", rep.Reanalyzed), obs.KV("stalled", rep.Stalled),
+		obs.KV("new", rep.NewFindings), obs.KV("fixed", rep.FixedFindings),
+		obs.KV("persisting", rep.PersistingFindings))
 	return rep, nil
 }
 
@@ -458,28 +454,4 @@ func wholesale(an *fleet.BinaryAnalysis, status FindingStatus) []FindingDiff {
 		out = append(out, FindingDiff{Status: status, Finding: g.rep, Paths: g.paths})
 	}
 	return out
-}
-
-// recordDiffMetrics publishes one finished diff's counters. Every
-// registry call is nil-safe on reg.
-func recordDiffMetrics(reg *obs.Registry, rep *Report) {
-	reg.Counter("dtaint_diff_images_total",
-		"Firmware image pairs diffed.", nil).Inc()
-	reg.Counter("dtaint_diff_binaries_replayed_total",
-		"Distinct binaries a diff served from the report cache.", nil).Add(uint64(rep.Replayed))
-	reg.Counter("dtaint_diff_binaries_reanalyzed_total",
-		"Distinct binaries a diff analyzed fresh.", nil).Add(uint64(rep.Reanalyzed))
-	for _, fc := range []struct {
-		status string
-		n      int
-	}{
-		{"new", rep.NewFindings}, {"fixed", rep.FixedFindings},
-		{"persisting", rep.PersistingFindings},
-	} {
-		if fc.n > 0 {
-			reg.Counter("dtaint_diff_findings_total",
-				"Findings classified by differential scans, by cross-version status.",
-				obs.Labels{"status": fc.status}).Add(uint64(fc.n))
-		}
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dtaint/internal/corpus"
 	"dtaint/internal/firmware"
@@ -316,6 +317,41 @@ func TestDiffCancelledMapsFailures(t *testing.T) {
 		if len(b.Findings) != 0 || b.New+b.Fixed+b.Persisting != 0 {
 			t.Errorf("%s (%s): %d findings classified despite an unavailable side", b.Path, b.Status, len(b.Findings))
 		}
+	}
+}
+
+// A binary the stall watchdog abandons leaves the diff incomplete: the
+// report counts it in Stalled — what dtaint -diff -exit-code turns into
+// exit 3 — and the Markdown rendering says so, although the diff
+// classified no new finding.
+func TestDiffCountsStalledBinaries(t *testing.T) {
+	spec, _ := corpus.SpecByProduct("DS-2CD6233F")
+	img, _, err := corpus.BuildFirmware(spec, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 1ns deadline fires at the watchdog's first tick, long before the
+	// camera binary's analysis (hundreds of milliseconds) completes.
+	rep, err := Diff(context.Background(), img, img, Options{Workers: 1, StallTimeout: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stalled == 0 || rep.NewFindings != 0 {
+		t.Fatalf("stalled/new = %d/%d, want >0/0", rep.Stalled, rep.NewFindings)
+	}
+	var md strings.Builder
+	if err := rep.WriteMarkdown(&md); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(md.String(), "stalled") {
+		t.Fatalf("Markdown report does not mention the stall:\n%s", md.String())
+	}
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"stalled":`) {
+		t.Fatalf("JSON report lacks the stalled count: %s", raw)
 	}
 }
 

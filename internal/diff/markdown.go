@@ -29,6 +29,9 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 	if r.Failed > 0 {
 		fmt.Fprintf(&b, "**%d binary pair(s) failed to analyze.**\n", r.Failed)
 	}
+	if r.Stalled > 0 {
+		fmt.Fprintf(&b, "**%d binary(ies) stalled: the watchdog abandoned their analysis, so this diff is incomplete.**\n", r.Stalled)
+	}
 	fmt.Fprintf(&b, "\n**Findings:** %d new, %d fixed, %d persisting.\n\n",
 		r.NewFindings, r.FixedFindings, r.PersistingFindings)
 

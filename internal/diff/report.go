@@ -145,6 +145,10 @@ type Report struct {
 	Replayed   int `json:"replayed"`
 	Reanalyzed int `json:"reanalyzed"`
 	Failed     int `json:"failed"`
+	// Stalled counts the distinct binaries the stall watchdog abandoned:
+	// their sides are unavailable, so a diff with stalls is incomplete
+	// even when it reports no new findings.
+	Stalled int `json:"stalled,omitempty"`
 	// SummaryHitRate is hits/(hits+misses) over this run's fresh analyses
 	// (zero when nothing was fresh or the run had no summary store).
 	SummaryHitRate float64 `json:"summaryHitRate"`

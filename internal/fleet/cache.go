@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"dtaint/internal/dataflow"
+	"dtaint/internal/obs"
 )
 
 // CacheStats is a snapshot of the report cache's counters.
@@ -27,6 +28,15 @@ type CacheStats struct {
 	Evictions uint64 `json:"evictions"`
 	// Entries is the current in-memory entry count.
 	Entries int `json:"entries"`
+}
+
+// Publish sets the cache hit ratio gauge in reg — the cache owner's
+// call; a cache that saw no lookups publishes nothing.
+func (st CacheStats) Publish(reg *obs.Registry) {
+	if total := st.Hits + st.Misses; total > 0 {
+		reg.Gauge("dtaint_cache_hit_ratio", "Report cache hit ratio over the cache's lifetime.",
+			nil).Set(float64(st.Hits) / float64(total))
+	}
 }
 
 // Cache is the content-addressed report cache: key = SHA-256(binary

@@ -12,7 +12,6 @@ import (
 
 	"dtaint/internal/dataflow"
 	"dtaint/internal/firmware"
-	"dtaint/internal/obs"
 	"dtaint/internal/obs/events"
 )
 
@@ -48,17 +47,16 @@ func uniqueBinaryImage(t *testing.T, n int) []byte {
 	return testImage(t, bins)
 }
 
-// eventKeysAtWorkers scans img with a fresh journal, tracer, and bridge
-// at the given worker count and returns the sorted DetKey multiset.
+// eventKeysAtWorkers scans img with a fresh journal observing the
+// scan's spans at the given worker count and returns the sorted DetKey
+// multiset.
 func eventKeysAtWorkers(t *testing.T, img []byte, workers int) []string {
 	t.Helper()
 	j := events.NewJournal(0)
-	em := j.Emitter("det")
-	tr := obs.NewTracer()
-	events.Bridge(tr, em)
+	tr := events.Observe(nil, events.Sinks{Journal: j, Job: "det"})
 	_, err := ScanImage(context.Background(), img, Options{
 		Workers:  workers,
-		Analysis: dataflow.Options{Tracer: tr, Events: em},
+		Analysis: dataflow.Options{Tracer: tr},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +126,7 @@ func TestScanImageStallWatchdog(t *testing.T) {
 	rep, err := ScanImage(context.Background(), twoBinaryImage(t), Options{
 		StallTimeout: 100 * time.Millisecond,
 		DebugDir:     debugDir,
-		Analysis:     dataflow.Options{Events: j.Emitter("stall-job")},
+		Analysis:     dataflow.Options{Tracer: events.Observe(nil, events.Sinks{Journal: j, Job: "stall-job"})},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -61,15 +61,15 @@ type Options struct {
 	// candidates, a diff's distinct binaries to analyze). Calls are
 	// serialized.
 	Progress func(done, total int)
-	// StallTimeout arms a stall watchdog over the scan's event stream:
-	// when the scan journals no telemetry event for this long, the
-	// watchdog emits a stall event, captures a diagnostic bundle (see
-	// DebugDir), and abandons the in-flight binaries — they report
-	// StatusStalled, never an empty success. 0 disables the watchdog.
-	// When Analysis.Events is nil, RunWaves attaches a private journal
-	// so the watchdog has a stream to watch. Pick a deadline well above
-	// the slowest single function's analysis time: progress events flow
-	// per completed function, so one monstrous function is the finest
+	// StallTimeout arms a stall watchdog over the scan's span stream:
+	// when the scan starts and ends no span for this long, the watchdog
+	// emits a stall event, captures a diagnostic bundle (see DebugDir),
+	// and abandons the in-flight binaries — they report StatusStalled,
+	// never an empty success. 0 disables the watchdog. When
+	// Analysis.Tracer is nil, RunWaves traces the run with a private
+	// tracer so the watchdog has a stream to watch. Pick a deadline well
+	// above the slowest single function's analysis time: every function
+	// starts and ends a span, so one monstrous function is the finest
 	// silence a healthy scan produces.
 	StallTimeout time.Duration
 	// DebugDir receives one diagnostic bundle directory per stall:
@@ -150,25 +150,21 @@ func ScanImage(ctx context.Context, data []byte, opts Options) (*ImageReport, er
 	}
 	start := time.Now()
 
-	// The scan's observability handles ride on the analysis options; the
-	// whole image gets one root span and every binary a child span that
-	// the per-binary pipeline stages nest under.
+	// The whole image gets one root span; the unpack stage and the
+	// binaries stage (RunWaves) nest under it, and every count the scan
+	// reports lands on it when the scan ends.
 	scanSpan := opts.Analysis.Tracer.Start(opts.Analysis.ParentSpan, "scan-image")
 	opts.Analysis.ParentSpan = scanSpan
 
-	st := opts.Analysis.StartStage("unpack-firmware", obs.KV("bytes", len(data)))
+	st := scanSpan.StartChild("unpack-firmware", obs.KV("bytes", len(data)))
 	img, candidates, err := Candidates(data, opts)
 	if err != nil {
 		st.End()
 		scanSpan.End()
 		return nil, fmt.Errorf("fleet: unpack image: %w", err)
 	}
-	st.End("candidates", len(candidates))
+	st.End(obs.KV("candidates", len(candidates)))
 	scanSpan.SetAttr("product", img.Header.Product)
-	if opts.Analysis.Log != nil {
-		opts.Analysis.Log = opts.Analysis.Log.With(
-			"image", img.Header.Product, "version", img.Header.Version)
-	}
 
 	rep := &ImageReport{
 		Vendor:     img.Header.Vendor,
@@ -186,16 +182,10 @@ func ScanImage(ctx context.Context, data []byte, opts Options) (*ImageReport, er
 		rep.Cache = opts.Cache.Stats()
 	}
 	rep.Runtime = obs.CaptureRuntimeStats()
-	scanSpan.SetAttr("candidates", rep.Candidates)
-	scanSpan.End()
-	recordScanMetrics(opts.Analysis.Metrics, rep)
-	if opts.Analysis.Log != nil {
-		opts.Analysis.Log.Info("scan-image done",
-			"candidates", rep.Candidates, "scanned", rep.Scanned,
-			"cached", rep.Cached, "failed", rep.Failed,
-			"vulnerabilities", rep.Vulnerabilities,
-			"seconds", rep.Wall.Seconds())
-	}
+	scanSpan.End(obs.KV("candidates", rep.Candidates), obs.KV("scanned", rep.Scanned),
+		obs.KV("cached", rep.Cached), obs.KV("failed", rep.Failed),
+		obs.KV("stalled", rep.Stalled), obs.KV("skipped", rep.Skipped),
+		obs.KV("vulnerabilities", rep.Vulnerabilities))
 	return rep, nil
 }
 
@@ -203,10 +193,12 @@ func ScanImage(ctx context.Context, data []byte, opts Options) (*ImageReport, er
 // over a bounded worker pool, returning one BinaryScan per file, wave by
 // wave in input order. Every binary of a wave finishes before the next
 // wave starts, so a later wave sees the summaries and cache entries an
-// earlier one wrote. The progress count runs across all waves, one stall
-// watchdog (StallTimeout) watches the whole run, and identical binaries
-// in flight at once are analyzed once. hdr names the image in the
-// watchdog's partial report. opts must come from Prepare.
+// earlier one wrote. One "binaries" stage span spans all waves and
+// declares their total, so the progress count runs across all waves;
+// one stall watchdog (StallTimeout) watches the whole run, and identical
+// binaries in flight at once are analyzed once. hdr names the image in
+// the stage span and the watchdog's partial report. opts must come from
+// Prepare.
 func RunWaves(ctx context.Context, hdr firmware.Header, waves [][]firmware.File, opts Options) [][]BinaryScan {
 	total := 0
 	for _, wave := range waves {
@@ -217,32 +209,36 @@ func RunWaves(ctx context.Context, hdr firmware.Header, waves [][]firmware.File,
 	}
 
 	// completed collects finished binaries in completion order for the
-	// watchdog's partial report (the result slices have holes mid-run).
+	// watchdog's partial report (the result slices have holes mid-run);
+	// done feeds the caller's progress callback.
 	var (
 		mu        sync.Mutex
 		completed []BinaryScan
 		done      int
+		progress  = opts.Progress
 	)
-	// The stall watchdog needs an event stream to watch; a run armed
-	// without a caller-supplied journal gets a private one.
+	if progress == nil {
+		progress = func(int, int) {}
+	}
+	// The stall watchdog watches the run's span stream; a run armed
+	// without a caller-supplied tracer gets a private one for the call.
 	if opts.StallTimeout > 0 {
-		if opts.Analysis.Events == nil {
-			opts.Analysis.Events = events.NewJournal(0).Emitter("")
+		if opts.Analysis.Tracer == nil {
+			opts.Analysis.Tracer = obs.NewTracer()
 		}
-		em := opts.Analysis.Events
 		opts.watchdog = events.StartWatchdog(events.WatchdogConfig{
-			Journal:     em.Journal(),
-			Job:         em.Job(),
+			Tracer:      opts.Analysis.Tracer,
 			Deadline:    opts.StallTimeout,
 			DebugDir:    opts.DebugDir,
 			Fingerprint: dataflow.OptionsFingerprint(opts.Analysis, opts.FilterTag),
-			Tracer:      opts.Analysis.Tracer,
-			Metrics:     opts.Analysis.Metrics,
 			Partial:     partialReportWriter(hdr, total, &mu, &completed),
 		})
 		defer opts.watchdog.Stop()
 	}
-	em := opts.Analysis.Events
+	stage := opts.Analysis.Tracer.Start(opts.Analysis.ParentSpan, "binaries",
+		obs.KV("binaries", total), obs.KV("image", hdr.Product))
+	defer stage.End()
+	opts.Analysis.ParentSpan = stage
 
 	out := make([][]BinaryScan, len(waves))
 	for w, wave := range waves {
@@ -261,15 +257,8 @@ func RunWaves(ctx context.Context, hdr firmware.Header, waves [][]firmware.File,
 					mu.Lock()
 					completed = append(completed, bs)
 					done++
-					n := done
-					if opts.Progress != nil {
-						opts.Progress(n, total)
-					}
+					progress(done, total)
 					mu.Unlock()
-					// n is mutex-ordered (unique per binary), so the
-					// progress event multiset is deterministic for any
-					// worker count.
-					em.Progress("binaries", n, total)
 				}
 			}()
 		}
@@ -304,34 +293,6 @@ func partialReportWriter(hdr firmware.Header, total int, mu *sync.Mutex, complet
 	}
 }
 
-// recordScanMetrics publishes one finished image scan's outcome counters
-// and the cache hit ratio. Every registry call is nil-safe on reg.
-func recordScanMetrics(reg *obs.Registry, rep *ImageReport) {
-	for _, oc := range []struct {
-		status string
-		n      int
-	}{
-		{"ok", rep.Scanned}, {"cached", rep.Cached},
-		{"failed", rep.Failed}, {"stalled", rep.Stalled},
-		{"skipped", rep.Skipped},
-	} {
-		if oc.n > 0 {
-			reg.Counter("dtaint_fleet_binaries_total",
-				"Binaries scanned by the fleet orchestrator, by outcome.",
-				obs.Labels{"status": oc.status}).Add(uint64(oc.n))
-		}
-	}
-	reg.Counter("dtaint_fleet_images_total",
-		"Firmware images scanned by the fleet orchestrator.", nil).Inc()
-	reg.Counter("dtaint_fleet_vulnerabilities_total",
-		"Deduplicated vulnerabilities found by fleet scans.", nil).Add(uint64(rep.Vulnerabilities))
-	if total := rep.Cache.Hits + rep.Cache.Misses; total > 0 {
-		reg.Gauge("dtaint_cache_hit_ratio",
-			"Report cache hit ratio over the cache's lifetime.",
-			nil).Set(float64(rep.Cache.Hits) / float64(total))
-	}
-}
-
 // scanOne is the per-binary runner: cache lookup (with in-flight dedup),
 // then a fresh analysis under panic isolation, the per-binary deadline,
 // and the stall watchdog.
@@ -339,23 +300,14 @@ func scanOne(ctx context.Context, f firmware.File, opts Options) BinaryScan {
 	sum := sha256.Sum256(f.Data)
 	bs := BinaryScan{Path: f.Path, SHA256: hex.EncodeToString(sum[:])}
 
+	// The span's path and sha scope every event and log line of the
+	// binary's stages; its end is the binary's completion (status attr).
 	span := opts.Analysis.Tracer.Start(opts.Analysis.ParentSpan, "scan-binary",
-		obs.KV("path", f.Path))
+		obs.KV("path", f.Path), obs.KV("sha", bs.SHA256[:12]))
 	opts.Analysis.ParentSpan = span
-	// Scope this worker's events to the binary; derived emitters keep
-	// their own progress meters, so concurrent binaries never share an
-	// ETA window (opts is a copy — the caller's emitter is untouched).
-	opts.Analysis.Events = opts.Analysis.Events.WithPath(f.Path)
-	if opts.Analysis.Log != nil {
-		opts.Analysis.Log = opts.Analysis.Log.With("binary", f.Path, "sha", bs.SHA256[:12])
-	}
 	defer func() {
 		span.SetAttr("status", string(bs.Status))
 		span.End()
-		if opts.Analysis.Log != nil {
-			opts.Analysis.Log.Info("scan-binary done",
-				"status", string(bs.Status), "seconds", bs.Duration.Seconds())
-		}
 	}()
 
 	cacheable := opts.Cache != nil && (opts.Analysis.Filter == nil || opts.FilterTag != "")
@@ -366,10 +318,6 @@ func scanOne(ctx context.Context, f firmware.File, opts Options) BinaryScan {
 			if v, ok := opts.Cache.Get(key); ok {
 				bs.Status = StatusCached
 				bs.Analysis = v
-				opts.Analysis.Events.Emit(events.ScanEvent{
-					Type:  events.TypeCacheHit,
-					Attrs: map[string]any{"sha256": bs.SHA256},
-				})
 				return bs
 			}
 			if opts.inflight.begin(key) {
@@ -461,20 +409,20 @@ func AnalyzeBinary(f firmware.File, aopts dataflow.Options) (*BinaryAnalysis, er
 // analyzeBinary runs the full single-binary pipeline and packages the
 // result into the serializable wire form.
 func analyzeBinary(f firmware.File, aopts dataflow.Options) (*BinaryAnalysis, error) {
-	st := aopts.StartStage("parse-image", obs.KV("bytes", len(f.Data)))
+	st := aopts.Tracer.Start(aopts.ParentSpan, "parse-image", obs.KV("bytes", len(f.Data)))
 	bin, err := image.Parse(f.Data)
 	if err != nil {
 		st.End()
 		return nil, fmt.Errorf("parse %s: %w", f.Path, err)
 	}
-	st.End("arch", bin.Arch.String())
-	st = aopts.StartStage("build-cfg")
+	st.End(obs.KV("arch", bin.Arch.String()))
+	st = aopts.Tracer.Start(aopts.ParentSpan, "build-cfg")
 	prog, err := cfg.Build(bin)
 	if err != nil {
 		st.End()
 		return nil, fmt.Errorf("recover CFG of %s: %w", f.Path, err)
 	}
-	st.End("functions", len(prog.Funcs))
+	st.End(obs.KV("functions", len(prog.Funcs)))
 	res, err := dataflow.Analyze(prog, aopts)
 	if err != nil {
 		return nil, fmt.Errorf("analyze %s: %w", f.Path, err)

@@ -104,7 +104,7 @@ func TestRunWavesProgressSpansWaves(t *testing.T) {
 	j := events.NewJournal(0)
 	RunWaves(context.Background(), firmware.Header{}, waves, mustPrepare(t, Options{
 		Workers:  3,
-		Analysis: dataflow.Options{Events: j.Emitter("")},
+		Analysis: dataflow.Options{Tracer: events.Observe(nil, events.Sinks{Journal: j})},
 		Progress: func(done, total int) {
 			if total != n {
 				t.Errorf("progress total = %d, want %d", total, n)
@@ -169,7 +169,7 @@ func TestRunWavesStallThenNextWave(t *testing.T) {
 		Workers:      1,
 		StallTimeout: 100 * time.Millisecond,
 		DebugDir:     debugDir,
-		Analysis:     dataflow.Options{Events: j.Emitter("waves")},
+		Analysis:     dataflow.Options{Tracer: events.Observe(nil, events.Sinks{Journal: j, Job: "waves"})},
 	}))
 
 	if st := out[0][0].Status; st != StatusOK {

@@ -1,22 +1,25 @@
 // Package events is the live-telemetry substrate of the pipeline: a
 // bounded, lock-free-read ring-buffer journal of typed, sequence-
-// numbered ScanEvents, fed by a span→event bridge over the obs tracer
-// and by first-class progress emissions from the analysis phases.
+// numbered ScanEvents, and the fixed span subscribers (Observe) that
+// derive every telemetry surface — journal events, stage metrics, and
+// stage log lines — from one obs tracer's span stream. Instrumented
+// code only opens spans; it never emits events, metrics, or logs.
 //
 // One journal serves every consumer the same stream: the dtaintd SSE
 // endpoints (per-job and firehose, resumable via Last-Event-ID), the
-// dtaint -progress printer, the stall watchdog, and the bench harness.
+// dtaint -progress printer, and the bench harness. The stall watchdog
+// watches the span stream itself.
 //
 // Like the rest of internal/obs, every handle is nil-safe: a nil
-// *Journal, *Emitter, or *Watchdog no-ops on every method, so
+// *Journal, *Sub, or *Watchdog no-ops on every method, so
 // instrumented code never branches on whether telemetry is attached.
 //
 // Determinism contract: the event *multiset* — compared by DetKey,
 // which excludes the wall-clock fields (Seq, Time, Duration, ETA,
 // Rate) — is bit-identical for any worker count, exactly as span
-// multisets are today. Emission sites therefore derive Done counters
-// from atomic or mutex-ordered counts (unique values, order-free) and
-// keep wall-clock readings out of Attrs.
+// multisets are. The journal subscriber therefore counts finished
+// units under its lock (unique Done values, order-free decile
+// crossings), and spans keep wall-clock readings out of their attrs.
 package events
 
 import (
@@ -26,10 +29,9 @@ import (
 	"time"
 )
 
-// Event types. Stage, binary, and component events come from the
-// span→event bridge; progress, cache, sumstore, and finding events are
-// emitted first-class by dataflow/fleet/diff; job.* events are emitted
-// by dtaintd's job lifecycle; stall comes from the watchdog.
+// Event types. Stage, binary, component, and progress events are
+// derived from spans by the journal subscriber; job.* events are
+// emitted by dtaintd's job lifecycle; stall comes from the watchdog.
 const (
 	TypeJobQueued  = "job.queued"
 	TypeJobStarted = "job.started"
@@ -46,9 +48,6 @@ const (
 	// the bottom-up interprocedural pass) finished.
 	TypeComponentDone = "scc.done"
 
-	TypeCacheHit = "cache.hit"
-	TypeSumStore = "sumstore.stats"
-	TypeFinding  = "finding"
 	TypeProgress = "progress"
 	TypeStall    = "stall"
 )

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dtaint/internal/obs"
 )
 
 func TestJournalAppendAndSince(t *testing.T) {
@@ -160,15 +162,6 @@ func TestNilJournalHandles(t *testing.T) {
 	if j.Stats() != (JournalStats{}) {
 		t.Fatal("nil Stats non-zero")
 	}
-	var em *Emitter = j.Emitter("job")
-	if em != nil {
-		t.Fatal("nil journal produced an emitter")
-	}
-	em.Emit(ScanEvent{Type: TypeProgress})
-	em.Progress("stage", 1, 2)
-	if em.WithPath("/bin/sh") != nil || em.Journal() != nil || em.Job() != "" {
-		t.Fatal("nil emitter derived state")
-	}
 	var w *Watchdog
 	w.Stop()
 	if w.Stalled() != nil || w.Fired() != 0 {
@@ -186,40 +179,34 @@ func TestNilJournalHandles(t *testing.T) {
 	}
 }
 
-func TestEmitterScopeStamping(t *testing.T) {
-	j := NewJournal(16)
-	em := j.Emitter("job-1").WithPath("/bin/busybox")
-	em.Emit(ScanEvent{Type: TypeCacheHit})
-	em.Emit(ScanEvent{Type: TypeFinding, Path: "/other", Job: "job-2"})
-	evs := j.Snapshot()
-	if evs[0].Job != "job-1" || evs[0].Path != "/bin/busybox" {
-		t.Fatalf("scope not stamped: %+v", evs[0])
-	}
-	if evs[1].Job != "job-2" || evs[1].Path != "/other" {
-		t.Fatalf("explicit fields overwritten: %+v", evs[1])
-	}
-}
-
+// The journal subscriber's progress events carry a moving-rate ETA
+// over the stage's finished units.
 func TestProgressRateAndETA(t *testing.T) {
 	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clock := base
 	now = func() time.Time { return clock }
 	defer func() { now = time.Now }()
 
-	j := NewJournal(16)
-	em := j.Emitter("")
+	j := NewJournal(64)
+	tr := Observe(nil, Sinks{Journal: j})
+	stage := tr.StartSpan("binaries", obs.KV("binaries", 10))
 	for i := 1; i <= 5; i++ {
 		clock = base.Add(time.Duration(i) * time.Second)
-		em.Progress("function-analysis", i*10, 100)
+		stage.StartChild("scan-binary").End()
 	}
-	evs := j.Snapshot()
+	var evs []ScanEvent
+	for _, ev := range j.Snapshot() {
+		if ev.Type == TypeProgress {
+			evs = append(evs, ev)
+		}
+	}
 	last := evs[len(evs)-1]
-	if last.Done != 50 || last.Total != 100 {
-		t.Fatalf("last progress = %d/%d", last.Done, last.Total)
+	if len(evs) != 5 || last.Done != 5 || last.Total != 10 {
+		t.Fatalf("%d progress events, last %d/%d; want 5, 5/10", len(evs), last.Done, last.Total)
 	}
-	// 10 units/sec over the window; 50 remaining -> 5s ETA.
-	if last.Rate < 9.9 || last.Rate > 10.1 {
-		t.Fatalf("rate = %v, want ~10/s", last.Rate)
+	// 1 unit/sec over the window; 5 remaining -> 5s ETA.
+	if last.Rate < 0.99 || last.Rate > 1.01 {
+		t.Fatalf("rate = %v, want ~1/s", last.Rate)
 	}
 	if last.ETA < 4900*time.Millisecond || last.ETA > 5100*time.Millisecond {
 		t.Fatalf("eta = %v, want ~5s", last.ETA)
@@ -283,7 +270,7 @@ func TestPrinterLines(t *testing.T) {
 		{ScanEvent{Type: TypeStall, Duration: 30 * time.Second,
 			Attrs: map[string]any{"bundle": "/tmp/d/stall-001"}},
 			"dtaint: STALL: no events for 30s, diagnostic bundle at /tmp/d/stall-001"},
-		{ScanEvent{Type: TypeCacheHit}, ""},
+		{ScanEvent{Type: TypeBinaryStart}, ""},
 		{ScanEvent{Type: TypeProgress, Stage: "x", Done: 1, Total: 0}, ""},
 	}
 	for _, c := range cases {

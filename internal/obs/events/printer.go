@@ -3,46 +3,29 @@ package events
 import (
 	"fmt"
 	"io"
-	"sync"
 )
 
-// Printer renders ScanEvents as human progress lines — the single
-// progress implementation behind both `dtaint -progress` and any
-// consumer of the dtaintd SSE stream. All state rides in the events
-// themselves, so the printer is a stateless line formatter; a mutex
-// keeps concurrent Handle calls from interleaving lines.
-type Printer struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewPrinter returns a printer writing "dtaint: ..." lines to w.
-func NewPrinter(w io.Writer) *Printer { return &Printer{w: w} }
-
-// AttachPrinter registers a printer on the journal and returns the
-// tap remover. Events already buffered are not replayed.
+// AttachPrinter subscribes the progress renderer behind `dtaint
+// -progress`: one "dtaint: ..." line per renderable event, written to
+// w. All state rides in the events themselves, so rendering is a
+// stateless format; journal taps run under the append lock, so lines
+// never interleave. Events already buffered are not replayed. It
+// returns the tap remover.
 func AttachPrinter(j *Journal, w io.Writer) (remove func()) {
-	p := NewPrinter(w)
-	return j.OnEvent(p.Handle)
+	return j.OnEvent(func(ev ScanEvent) {
+		if line := renderLine(ev); line != "" {
+			fmt.Fprintln(w, line)
+		}
+	})
 }
 
-// unitOf names the progress unit per stage; stages absent here print
-// unitless "done/total" counts.
+// unitOf names the progress unit per stage (the units the journal
+// subscriber counts); stages absent here print unitless "done/total"
+// counts.
 var unitOf = map[string]string{
 	"function-analysis":  "functions",
-	"interproc-dataflow": "functions",
+	"interproc-dataflow": "components",
 	"binaries":           "binaries",
-}
-
-// Handle renders one event (safe for concurrent use).
-func (p *Printer) Handle(ev ScanEvent) {
-	line := renderLine(ev)
-	if line == "" {
-		return
-	}
-	p.mu.Lock()
-	fmt.Fprintln(p.w, line)
-	p.mu.Unlock()
 }
 
 // renderLine formats one event as a progress line ("" to skip it).

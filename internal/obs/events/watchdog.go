@@ -14,15 +14,14 @@ import (
 	"dtaint/internal/obs"
 )
 
-// WatchdogConfig configures a stall watchdog over one job's event
+// WatchdogConfig configures a stall watchdog over one run's span
 // stream.
 type WatchdogConfig struct {
-	// Journal is the event stream watched and the destination of the
-	// stall event. Required.
-	Journal *Journal
-	// Job scopes the watch to events stamped with this job id; ""
-	// watches (and re-arms on) every event.
-	Job string
+	// Tracer is the span stream watched: every span start and end —
+	// per-function spans included — counts as activity. Its Observe
+	// sinks receive the stall event and are snapshotted into the bundle.
+	// Required.
+	Tracer *obs.Tracer
 	// Deadline is the silence duration that counts as a stall. Required.
 	Deadline time.Duration
 	// DebugDir, when non-empty, receives one diagnostic bundle
@@ -32,9 +31,6 @@ type WatchdogConfig struct {
 	// Fingerprint is the analyzer-options fingerprint written to
 	// options.txt — which cache/store keyspace the wedged run was in.
 	Fingerprint string
-	// Tracer/Metrics are snapshotted into the bundle (nil-safe).
-	Tracer  *obs.Tracer
-	Metrics *obs.Registry
 	// Partial, when set, writes the partial report (whatever completed
 	// before the stall) into the bundle's report.json.
 	Partial func(io.Writer) error
@@ -43,58 +39,58 @@ type WatchdogConfig struct {
 	OnStall func(bundleDir string)
 }
 
-// Watchdog fires when its job emits no events for the configured
-// deadline: it captures a goroutine dump and a diagnostic bundle,
-// emits a stall event, and closes the current Stalled channel so
-// in-flight work can be abandoned. Any subsequent event re-arms it,
+// Watchdog fires when its tracer starts and ends no span for the
+// configured deadline: it captures a goroutine dump and a diagnostic
+// bundle, emits a stall event, and closes the current Stalled channel
+// so in-flight work can be abandoned. Any subsequent span re-arms it,
 // so one wedged binary doesn't condemn the binaries after it.
 //
 // A nil *Watchdog is valid: Stop no-ops and Stalled returns a nil
 // channel (which never delivers — exactly the "no watchdog" select
 // behavior).
 type Watchdog struct {
-	cfg WatchdogConfig
-	em  *Emitter
+	cfg   WatchdogConfig
+	sinks Sinks
 
 	armed    atomic.Bool
-	lastAt   atomic.Int64 // unix nanos of the last counted event
-	lastType atomic.Value // string: type of the last counted event
+	lastAt   atomic.Int64 // unix nanos of the last span start or end
+	lastSpan atomic.Value // string: name of that span
 	fired    atomic.Uint64
 
 	mu      sync.Mutex
 	stalled chan struct{} // closed on fire, then replaced
 
-	stop      chan struct{}
-	done      chan struct{}
-	removeTap func()
+	stop        chan struct{}
+	done        chan struct{}
+	unsubscribe func()
 }
 
 // StartWatchdog arms a watchdog per cfg and returns it, or nil when
-// cfg has no journal or no deadline (telemetry off means no watchdog).
-// The watchdog arms on the job's first event. Call Stop when the job
-// finishes.
+// cfg has no tracer or no deadline. The watchdog arms on the first
+// span. Call Stop when the run finishes.
 func StartWatchdog(cfg WatchdogConfig) *Watchdog {
-	if cfg.Journal == nil || cfg.Deadline <= 0 {
+	if cfg.Tracer == nil || cfg.Deadline <= 0 {
 		return nil
 	}
 	w := &Watchdog{
 		cfg:     cfg,
-		em:      cfg.Journal.Emitter(cfg.Job),
+		sinks:   SinksOf(cfg.Tracer),
 		stalled: make(chan struct{}),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	w.removeTap = cfg.Journal.OnEvent(w.observe)
+	w.unsubscribe = cfg.Tracer.Subscribe(w)
 	go w.watch()
 	return w
 }
 
-// Stop disarms the watchdog and releases its tap and goroutine.
+// Stop disarms the watchdog and releases its subscription and
+// goroutine.
 func (w *Watchdog) Stop() {
 	if w == nil {
 		return
 	}
-	w.removeTap()
+	w.unsubscribe()
 	close(w.stop)
 	<-w.done
 }
@@ -119,18 +115,17 @@ func (w *Watchdog) Fired() int {
 	return int(w.fired.Load())
 }
 
-// observe is the journal tap: every event of the watched job (except
-// the watchdog's own stall events) re-arms the deadline. Atomics only —
-// it runs under the journal's append lock.
-func (w *Watchdog) observe(ev ScanEvent) {
-	if w.cfg.Job != "" && ev.Job != w.cfg.Job {
-		return
-	}
-	if ev.Type == TypeStall {
-		return
-	}
+// SpanStart implements obs.Subscriber: a started span is activity.
+func (w *Watchdog) SpanStart(rec obs.SpanRecord) { w.activity(rec.Name) }
+
+// SpanEnd implements obs.Subscriber: a finished span is activity.
+func (w *Watchdog) SpanEnd(rec obs.SpanRecord) { w.activity(rec.Name) }
+
+// activity re-arms the deadline. Atomics only — it runs on every span
+// start and end of the watched run.
+func (w *Watchdog) activity(span string) {
 	w.lastAt.Store(now().UnixNano())
-	w.lastType.Store(ev.Type)
+	w.lastSpan.Store(span)
 	w.armed.Store(true)
 }
 
@@ -148,19 +143,23 @@ func (w *Watchdog) watch() {
 			return
 		case <-ticker.C:
 		}
-		if !w.armed.Load() {
-			continue
-		}
-		silence := now().Sub(time.Unix(0, w.lastAt.Load()))
-		if silence < w.cfg.Deadline {
-			continue
-		}
+		w.check()
+	}
+}
+
+// check fires the watchdog when the armed run has been silent for the
+// deadline.
+func (w *Watchdog) check() {
+	if !w.armed.Load() {
+		return
+	}
+	if silence := now().Sub(time.Unix(0, w.lastAt.Load())); silence >= w.cfg.Deadline {
 		w.fire(silence)
 	}
 }
 
 func (w *Watchdog) fire(silence time.Duration) {
-	w.armed.Store(false) // disarm until the next event
+	w.armed.Store(false) // disarm until the next span
 	n := w.fired.Add(1)
 	dir := w.writeBundle(n)
 
@@ -168,10 +167,10 @@ func (w *Watchdog) fire(silence time.Duration) {
 	if dir != "" {
 		attrs["bundle"] = dir
 	}
-	if lt, _ := w.lastType.Load().(string); lt != "" {
-		attrs["lastType"] = lt
+	if ls, _ := w.lastSpan.Load().(string); ls != "" {
+		attrs["lastSpan"] = ls
 	}
-	w.em.Emit(ScanEvent{Type: TypeStall, Duration: silence, Attrs: attrs})
+	w.sinks.Journal.Append(ScanEvent{Type: TypeStall, Job: w.sinks.Job, Duration: silence, Attrs: attrs})
 
 	w.mu.Lock()
 	close(w.stalled)
@@ -192,8 +191,8 @@ func (w *Watchdog) writeBundle(n uint64) string {
 		return ""
 	}
 	name := fmt.Sprintf("stall-%03d", n)
-	if w.cfg.Job != "" {
-		name = fmt.Sprintf("stall-%s-%03d", sanitizeName(w.cfg.Job), n)
+	if job := w.sinks.Job; job != "" {
+		name = fmt.Sprintf("stall-%s-%03d", sanitizeName(job), n)
 	}
 	dir := filepath.Join(w.cfg.DebugDir, name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -205,15 +204,15 @@ func (w *Watchdog) writeBundle(n uint64) string {
 		return err
 	})
 	writeFile(dir, "trace.json", w.cfg.Tracer.WriteChromeTrace)
-	writeFile(dir, "metrics.json", w.cfg.Metrics.WriteJSON)
+	writeFile(dir, "metrics.json", w.sinks.Metrics.WriteJSON)
 	writeFile(dir, "options.txt", func(f io.Writer) error {
 		_, err := fmt.Fprintf(f, "fingerprint: %s\ndeadline: %v\n", w.cfg.Fingerprint, w.cfg.Deadline)
 		return err
 	})
 	writeFile(dir, "events.jsonl", func(f io.Writer) error {
 		enc := json.NewEncoder(f)
-		for _, ev := range w.cfg.Journal.Snapshot() {
-			if w.cfg.Job != "" && ev.Job != w.cfg.Job {
+		for _, ev := range w.sinks.Journal.Snapshot() {
+			if w.sinks.Job != "" && ev.Job != w.sinks.Job {
 				continue
 			}
 			if err := enc.Encode(ev); err != nil {

@@ -18,7 +18,7 @@ type SpanRecord struct {
 	Parent uint64
 	Name   string
 	Start  time.Time
-	// Duration is zero in OnSpanStart callbacks.
+	// Duration is zero in Subscriber.SpanStart records.
 	Duration time.Duration
 	Attrs    []Attr
 }
@@ -36,36 +36,55 @@ func (r SpanRecord) Attr(key string) any {
 // Tracer collects spans from any number of goroutines. The zero value
 // is not usable; call NewTracer. A nil *Tracer is a valid no-op tracer.
 type Tracer struct {
-	mu      sync.Mutex
-	epoch   time.Time
-	nextID  uint64
-	spans   []SpanRecord
-	onStart []func(SpanRecord)
-	onEnd   []func(SpanRecord)
+	mu     sync.Mutex
+	epoch  time.Time
+	nextID uint64
+	spans  []SpanRecord
+	subs   []Subscriber // copy-on-write: readers iterate a snapshot
 }
 
 // NewTracer returns an empty tracer whose trace clock starts now.
 func NewTracer() *Tracer { return &Tracer{epoch: time.Now()} }
 
-// OnSpanStart registers fn to run synchronously whenever a span starts.
-// Handlers must be registered before spans are created.
-func (t *Tracer) OnSpanStart(fn func(SpanRecord)) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.onStart = append(t.onStart, fn)
-	t.mu.Unlock()
+// Subscriber observes a tracer's span stream: SpanStart runs when a
+// span starts (its record has zero Duration), SpanEnd when it ends.
+// Both run synchronously on the goroutine starting or ending the span,
+// so they must be fast and must not start or end spans themselves.
+type Subscriber interface {
+	SpanStart(SpanRecord)
+	SpanEnd(SpanRecord)
 }
 
-// OnSpanEnd registers fn to run synchronously whenever a span ends.
-func (t *Tracer) OnSpanEnd(fn func(SpanRecord)) {
+// Subscribe registers s for every span started or ended after the call
+// and returns a function removing it. On a nil tracer it registers
+// nothing.
+func (t *Tracer) Subscribe(s Subscriber) (remove func()) {
 	if t == nil {
-		return
+		return func() {}
 	}
 	t.mu.Lock()
-	t.onEnd = append(t.onEnd, fn)
+	t.subs = append(t.subs[:len(t.subs):len(t.subs)], s)
 	t.mu.Unlock()
+	return func() {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		for i, x := range t.subs {
+			if x == s {
+				t.subs = append(t.subs[:i:i], t.subs[i+1:]...)
+				return
+			}
+		}
+	}
+}
+
+// Subscribers returns the registered subscribers, in registration order.
+func (t *Tracer) Subscribers() []Subscriber {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.subs
 }
 
 // Span is an in-flight interval. Nil spans (from a nil tracer) are
@@ -113,12 +132,12 @@ func (t *Tracer) startSpan(parent uint64, name string, attrs []Attr) *Span {
 	t.nextID++
 	s := &Span{t: t, id: t.nextID, parent: parent, name: name,
 		start: time.Now(), attrs: append([]Attr(nil), attrs...)}
-	handlers := t.onStart
+	subs := t.subs
 	t.mu.Unlock()
-	if len(handlers) > 0 {
+	if len(subs) > 0 {
 		rec := s.record(0)
-		for _, fn := range handlers {
-			fn(rec)
+		for _, sub := range subs {
+			sub.SpanStart(rec)
 		}
 	}
 	return s
@@ -140,8 +159,9 @@ func (s *Span) SetAttr(key string, value any) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// End finishes the span and records it. Double-End is a no-op.
-func (s *Span) End() {
+// End sets attrs — the counts a stage reports once it is done — then
+// finishes the span and records it. Double-End is a no-op.
+func (s *Span) End(attrs ...Attr) {
 	if s == nil || s.t == nil {
 		return
 	}
@@ -152,15 +172,18 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	s.mu.Unlock()
+	for _, a := range attrs {
+		s.SetAttr(a.Key, a.Value)
+	}
 
 	rec := s.record(time.Since(s.start))
 	t := s.t
 	t.mu.Lock()
 	t.spans = append(t.spans, rec)
-	handlers := t.onEnd
+	subs := t.subs
 	t.mu.Unlock()
-	for _, fn := range handlers {
-		fn(rec)
+	for _, sub := range subs {
+		sub.SpanEnd(rec)
 	}
 }
 

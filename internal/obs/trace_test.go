@@ -110,26 +110,43 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 }
 
+// recorder is a test Subscriber collecting span names.
+type recorder struct {
+	mu             sync.Mutex
+	started, ended []string
+}
+
+func (r *recorder) SpanStart(rec SpanRecord) {
+	r.mu.Lock()
+	r.started = append(r.started, rec.Name)
+	r.mu.Unlock()
+}
+
+func (r *recorder) SpanEnd(rec SpanRecord) {
+	r.mu.Lock()
+	r.ended = append(r.ended, rec.Name)
+	r.mu.Unlock()
+}
+
 func TestSpanHandlers(t *testing.T) {
 	tr := NewTracer()
-	var mu sync.Mutex
-	var started, ended []string
-	tr.OnSpanStart(func(r SpanRecord) {
-		mu.Lock()
-		started = append(started, r.Name)
-		mu.Unlock()
-	})
-	tr.OnSpanEnd(func(r SpanRecord) {
-		mu.Lock()
-		ended = append(ended, r.Name)
-		mu.Unlock()
-	})
+	rec := &recorder{}
+	remove := tr.Subscribe(rec)
+	if subs := tr.Subscribers(); len(subs) != 1 || subs[0] != rec {
+		t.Fatalf("Subscribers = %v", subs)
+	}
 	s := tr.StartSpan("stage", KV("total", 10))
 	s.End()
 	s.End() // double End fires the handler once
-	if !reflect.DeepEqual(started, []string{"stage"}) || !reflect.DeepEqual(ended, []string{"stage"}) {
-		t.Fatalf("handlers: started=%v ended=%v", started, ended)
+	if !reflect.DeepEqual(rec.started, []string{"stage"}) || !reflect.DeepEqual(rec.ended, []string{"stage"}) {
+		t.Fatalf("handlers: started=%v ended=%v", rec.started, rec.ended)
 	}
+	remove()
+	tr.StartSpan("after").End()
+	if len(rec.started) != 1 || len(tr.Subscribers()) != 0 {
+		t.Fatalf("removed subscriber still observes: started=%v", rec.started)
+	}
+	(*Tracer)(nil).Subscribe(rec)() // nil tracer: no-op registration
 }
 
 func TestWriteChromeTrace(t *testing.T) {

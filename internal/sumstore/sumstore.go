@@ -227,8 +227,11 @@ func (s *Store) putBlob(key string, blob []byte) {
 	}
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters (zero for a nil store).
 func (s *Store) Stats() Stats {
+	if s == nil {
+		return Stats{}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
@@ -243,8 +246,15 @@ func (s *Store) Stats() Stats {
 // PublishMetrics exports the store's lifetime counters into an obs
 // registry (Store semantics: idempotent snapshots, shareable across
 // many analyses over the same store).
-func (s *Store) PublishMetrics(reg *obs.Registry) {
-	st := s.Stats()
+func (s *Store) PublishMetrics(reg *obs.Registry) { s.Stats().Publish(reg) }
+
+// Publish exports a store snapshot's counters into reg — the store
+// owner's call, not the analysis's. A snapshot of a store that was
+// never used (or of no store) publishes nothing.
+func (st Stats) Publish(reg *obs.Registry) {
+	if st == (Stats{}) {
+		return
+	}
 	reg.Counter("dtaint_sumstore_hits_total",
 		"Summary-store lookups served from memory or disk.", nil).Store(st.Hits)
 	reg.Counter("dtaint_sumstore_disk_hits_total",

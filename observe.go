@@ -4,8 +4,10 @@ import (
 	"io"
 	"log/slog"
 
+	"dtaint/internal/fleet"
 	"dtaint/internal/obs"
 	"dtaint/internal/obs/events"
+	"dtaint/internal/sumstore"
 )
 
 // Tracer records spans for every pipeline stage an Analyzer (or fleet
@@ -68,11 +70,12 @@ type RuntimeStats = obs.RuntimeStats
 // EventJournal is a bounded in-memory ring of live telemetry events:
 // typed, sequence-numbered records of everything an analysis does —
 // stages entered and left, binaries started and finished, per-stage
-// progress with moving-rate ETA, findings as they are merged, cache and
-// summary-store activity, stalls. Attach one with WithEventJournal;
-// when a Tracer is attached too, every span start/end is bridged into
-// the journal as an event. Event content (wall-clock fields excluded)
-// is deterministic for any worker count. Safe for concurrent use.
+// progress with moving-rate ETA, stalls. Attach one with
+// WithEventJournal; it needs no Tracer: every event is derived from the
+// call's span stream, traced by a call-lifetime tracer when none is
+// attached. Findings are not journaled — they are in the returned
+// report. Event content (wall-clock fields excluded) is deterministic
+// for any worker count. Safe for concurrent use.
 type EventJournal struct{ j *events.Journal }
 
 // NewEventJournal returns a journal keeping the last size events
@@ -106,11 +109,11 @@ func (j *EventJournal) Stats() EventJournalStats {
 }
 
 // WithEventJournal attaches a live-telemetry journal: the analysis
-// appends progress, finding, and stage events to it as it runs.
+// appends stage, binary, and progress events to it as it runs.
 func WithEventJournal(j *EventJournal) Option {
 	return func(a *Analyzer) {
 		if j != nil {
-			a.journal = j.j
+			a.sinks.Journal = j.j
 		}
 	}
 }
@@ -126,18 +129,30 @@ func WithTracer(t *Tracer) Option {
 	}
 }
 
-// WithMetrics attaches a metrics registry the pipeline populates.
+// WithMetrics attaches a metrics registry the pipeline populates: the
+// stage counters and per-function histograms derived from the call's
+// span stream, and the report-cache and summary-store state the
+// Analyzer publishes after each call.
 func WithMetrics(m *Metrics) Option {
 	return func(a *Analyzer) {
 		if m != nil {
-			a.opts.Metrics = m.r
+			a.sinks.Metrics = m.r
 		}
 	}
 }
 
-// WithLogger attaches a structured logger; the pipeline logs one line
-// per stage (and per fleet binary) with stage, duration, and size
-// attrs. Nil disables logging.
+// WithLogger attaches a structured logger; the pipeline logs one
+// "stage done" line per stage (and per fleet binary) carrying the
+// stage's span attrs, its duration, and the image/binary/sha it ran
+// for. Nil disables logging.
 func WithLogger(l *slog.Logger) Option {
-	return func(a *Analyzer) { a.opts.Log = l }
+	return func(a *Analyzer) { a.sinks.Log = l }
+}
+
+// publish sets the state series of a call's report cache and summary
+// store in the Analyzer's registry: the Analyzer owns the tiers for the
+// call, and the analysis itself only opens spans.
+func (a *Analyzer) publish(cache fleet.CacheStats, store sumstore.Stats) {
+	cache.Publish(a.sinks.Metrics)
+	store.Publish(a.sinks.Metrics)
 }

@@ -5,14 +5,16 @@
 # server on an ephemeral port with JSON structured logging, POSTs the
 # image to /v1/scan, polls the job until it is done, and asserts the
 # report finds at least one vulnerability and has the same top-level
-# keys as dtaint -rootfs-all -json (one report schema), /v1/metrics speaks
+# keys as dtaint -rootfs-all -json (one report schema), dtaint
+# -rootfs-all -progress prints function and binary progress lines
+# without -trace-out, /v1/metrics speaks
 # Prometheus text to a text/plain client, and the log stream contains a
 # valid JSON line for every pipeline stage (scripts/logcheck). It then
 # POSTs the image against itself to /v1/diff: with the cache warmed by
 # the scan, the self-diff must replay everything (zero re-analyses) and
 # report zero new findings. Along the way it watches the scan and the
-# diff live over their SSE event streams (ordered ids, progress events,
-# a terminal job.done), probes /healthz and /readyz, and finally SIGTERMs the
+# diff live over their SSE event streams (ordered ids, progress events —
+# function-analysis progress in the scan's — a terminal job.done), probes /healthz and /readyz, and finally SIGTERMs the
 # server and asserts /readyz flips to 503 during the drain window.
 # Invoked by `make smoke` and by scripts/check.sh.
 set -eu
@@ -99,6 +101,10 @@ check_sse() {
 echo ">> smoke: SSE stream carries ordered progress and a terminal job.done"
 wait "$ssepid" || { echo "smoke: SSE curl failed"; exit 1; }
 check_sse "$tmp/events.sse"
+# The scan analyzed its binary fresh, so the span-derived stream also
+# carries per-function progress.
+grep '"type":"progress"' "$tmp/events.sse" | grep -q '"stage":"function-analysis"' ||
+	{ echo "smoke: no function-analysis progress event in the scan's SSE stream"; exit 1; }
 
 echo ">> smoke: fetch report"
 report=$(curl -sf "$base/v1/jobs/$id/report")
@@ -115,6 +121,13 @@ served_keys=$(printf '%s\n' "$report" | topkeys)
 cli_keys=$(topkeys <"$tmp/cli.json")
 [ -n "$served_keys" ] && [ "$served_keys" = "$cli_keys" ] ||
 	{ echo "smoke: top-level keys differ: served [$served_keys] vs CLI [$cli_keys]"; exit 1; }
+
+echo ">> smoke: dtaint -progress renders the event journal without a tracer"
+"$tmp/dtaint" -fw "$tmp/corpus/DIR-645.fwimg" -rootfs-all -progress >/dev/null 2>"$tmp/progress.txt"
+grep -Eq '^dtaint: function-analysis: [0-9]+/[0-9]+ functions \([0-9]+%\)' "$tmp/progress.txt" ||
+	{ echo "smoke: no function-analysis progress line:"; cat "$tmp/progress.txt"; exit 1; }
+grep -Eq '^dtaint: scanned .* \((ok|cached)\) in ' "$tmp/progress.txt" ||
+	{ echo "smoke: no per-binary scanned line:"; cat "$tmp/progress.txt"; exit 1; }
 
 echo ">> smoke: POST /v1/diff (image against itself, warmed cache)"
 dresp=$(curl -sf -X POST -F old=@"$tmp/corpus/DIR-645.fwimg" -F new=@"$tmp/corpus/DIR-645.fwimg" "$base/v1/diff")
