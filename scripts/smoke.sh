@@ -82,29 +82,29 @@ for _ in $(seq 1 100); do
 done
 [ "$state" = "done" ] || { echo "smoke: job ended in state '$state'"; exit 1; }
 
-# check_sse FILE: a captured job stream has ordered ids, a progress
-# event over the binaries stage, and ends with job.done.
+# check_sse FILE STAGE...: a captured job stream has ordered ids, a
+# progress event over each named stage, and ends with job.done.
 check_sse() {
-	ids=$(sed -n 's/^id: \([0-9]*\).*/\1/p' "$1")
-	[ -n "$ids" ] || { echo "smoke: SSE stream $1 carried no event ids"; exit 1; }
+	f=$1
+	shift
+	ids=$(sed -n 's/^id: \([0-9]*\).*/\1/p' "$f")
+	[ -n "$ids" ] || { echo "smoke: SSE stream $f carried no event ids"; exit 1; }
 	printf '%s\n' "$ids" | sort -n -c 2>/dev/null ||
-		{ echo "smoke: SSE event ids out of order in $1"; exit 1; }
-	grep -q '^event: progress$' "$1" ||
-		{ echo "smoke: no progress event in SSE stream $1"; exit 1; }
-	grep -q '"stage":"binaries"' "$1" ||
-		{ echo "smoke: no binaries-stage progress in SSE stream $1"; exit 1; }
-	last_event=$(sed -n 's/^event: \(.*\)$/\1/p' "$1" | tail -1)
+		{ echo "smoke: SSE event ids out of order in $f"; exit 1; }
+	for stage in "$@"; do
+		grep '"type":"progress"' "$f" | grep -q "\"stage\":\"$stage\"" ||
+			{ echo "smoke: no $stage progress event in SSE stream $f"; exit 1; }
+	done
+	last_event=$(sed -n 's/^event: \(.*\)$/\1/p' "$f" | tail -1)
 	[ "$last_event" = "job.done" ] ||
-		{ echo "smoke: SSE stream $1 ended with '$last_event', want job.done"; exit 1; }
+		{ echo "smoke: SSE stream $f ended with '$last_event', want job.done"; exit 1; }
 }
 
 echo ">> smoke: SSE stream carries ordered progress and a terminal job.done"
 wait "$ssepid" || { echo "smoke: SSE curl failed"; exit 1; }
-check_sse "$tmp/events.sse"
-# The scan analyzed its binary fresh, so the span-derived stream also
+# The scan analyzes its binary fresh, so its span-derived stream also
 # carries per-function progress.
-grep '"type":"progress"' "$tmp/events.sse" | grep -q '"stage":"function-analysis"' ||
-	{ echo "smoke: no function-analysis progress event in the scan's SSE stream"; exit 1; }
+check_sse "$tmp/events.sse" binaries function-analysis
 
 echo ">> smoke: fetch report"
 report=$(curl -sf "$base/v1/jobs/$id/report")
@@ -149,7 +149,7 @@ done
 
 echo ">> smoke: diff SSE stream carries progress and a terminal job.done"
 wait "$dssepid" || { echo "smoke: diff SSE curl failed"; exit 1; }
-check_sse "$tmp/diff-events.sse"
+check_sse "$tmp/diff-events.sse" binaries
 
 dreport=$(curl -sf "$base/v1/jobs/$did/report")
 reanalyzed=$(printf '%s' "$dreport" | sed -n 's/.*"reanalyzed": *\([0-9]*\).*/\1/p')
