@@ -31,17 +31,18 @@
 // -rootfs-all switches from one binary to the whole image: every FWELF
 // executable in the rootfs is scanned through the fleet orchestrator
 // (bounded worker pool, panic isolation) and per-image totals are
-// printed; -cache-dir reuses reports across runs. -summary-dir (valid
-// with and without -rootfs-all) keeps a persistent function-summary
-// store, so re-runs and binaries sharing code replay per-function
-// analysis instead of repeating it. -exit-code makes the
-// process exit 2 when any undeduplicated vulnerable path is found, so
-// CI pipelines can gate on scan results; it exits 3 when the stall
-// watchdog abandoned any binary and nothing vulnerable was found — an
-// incomplete scan must never look like a clean one.
+// printed. -cache-dir (valid in every mode) keeps a persistent cache
+// in one directory: whole-binary reports (<key>.json), which re-scans
+// replay, and function summaries (<key>.dtss), so re-runs and binaries
+// sharing code replay per-function analysis instead of repeating it.
+// -exit-code makes the process exit 2 when any undeduplicated
+// vulnerable path is found, so CI pipelines can gate on scan results;
+// it exits 3 when the stall watchdog abandoned any binary and nothing
+// vulnerable was found — an incomplete scan must never look like a
+// clean one.
 //
 // -stall-timeout (with -rootfs-all or -diff) arms a watchdog over the
-// scan's telemetry stream: a binary whose analysis emits no event for
+// scan's span stream: a binary whose analysis has no span activity for
 // that long is abandoned and reported as "stalled" (in a diff, as an
 // unavailable side carrying the watchdog's error), and with -debug-dir
 // a diagnostic bundle (goroutine dump, trace, metrics, event journal,
@@ -50,18 +51,18 @@
 // -diff compares two firmware versions instead of scanning one:
 //
 //	dtaint -diff old.fwimg new.fwimg
-//	dtaint -diff -cache-dir .cache -summary-dir .sums old.fwimg new.fwimg
+//	dtaint -diff -cache-dir .cache old.fwimg new.fwimg
 //	dtaint -diff -exit-code old.fwimg new.fwimg   # exit 2 on NEW findings only
 //
 // Binaries are paired by rootfs path and content hash; unchanged ones
-// replay from -cache-dir, changed ones re-analyze with unchanged
-// functions replaying from -summary-dir, and every finding classifies
-// as new, fixed, or persisting across the versions. -json emits the
-// DiffReport; -report writes the Markdown rendering. With -diff,
-// -exit-code gates on *new* findings: a release that only carries
-// known, persisting findings does not fail the pipeline, and a diff in
-// which the stall watchdog abandoned a binary exits 3 like a stalled
-// scan.
+// replay their reports from -cache-dir, changed ones re-analyze with
+// unchanged functions replaying their summaries from it, and every
+// finding classifies as new, fixed, or persisting across the versions.
+// -json emits the DiffReport; -report writes the Markdown rendering.
+// With -diff, -exit-code gates on *new* findings: a release that only
+// carries known, persisting findings does not fail the pipeline, and a
+// diff in which the stall watchdog abandoned a binary exits 3 like a
+// stalled scan.
 //
 // Observability (all off by default):
 //
@@ -115,12 +116,11 @@ func main() {
 		vocabPath = flag.String("vocab", "", "source/sink/sanitizer vocabulary spec (JSON; empty = embedded default)")
 		allBins   = flag.Bool("rootfs-all", false, "scan every FWELF executable in the firmware rootfs (requires -fw)")
 		diffMode  = flag.Bool("diff", false, "diff two firmware images given as positional arguments: dtaint -diff old.fwimg new.fwimg")
-		cacheDir  = flag.String("cache-dir", "", "with -rootfs-all: persistent report cache directory")
-		sumDir    = flag.String("summary-dir", "", "persistent function-summary store directory, shared across runs")
+		cacheDir  = flag.String("cache-dir", "", "persistent cache directory for reports and function summaries, shared across runs")
 		exitCode  = flag.Bool("exit-code", false, "exit 2 when undeduplicated vulnerable paths are found")
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace_event JSON of the pipeline stages to this file")
 		progress  = flag.Bool("progress", false, "print per-stage progress lines to stderr")
-		stallWait = flag.Duration("stall-timeout", 0, "with -rootfs-all or -diff: abandon binaries when no telemetry event flows for this long (0 = off)")
+		stallWait = flag.Duration("stall-timeout", 0, "with -rootfs-all or -diff: abandon binaries after no span activity for this long (0 = off)")
 		debugDir  = flag.String("debug-dir", "", "with -stall-timeout: write one diagnostic bundle directory per stall here")
 		logLevel  = flag.String("log-level", "", "enable structured logging at this level: debug, info, warn, error")
 		logFormat = flag.String("log-format", "text", "structured log format: text or json")
@@ -138,7 +138,7 @@ func main() {
 		fwPath: *fwPath, exePath: *exePath, binPath: *binPath,
 		module: *module, mdOut: *mdOut, workers: *workers,
 		ablate: *ablate, paths: *paths, showAll: *showAll, dis: *dis, jsonOut: *jsonOut,
-		cacheDir: *cacheDir, sumDir: *sumDir, traceOut: *traceOut, progress: *progress,
+		cacheDir: *cacheDir, traceOut: *traceOut, progress: *progress,
 		stallWait: *stallWait, debugDir: *debugDir,
 		logLevel: *logLevel, logFormat: *logFormat, vocabPath: *vocabPath,
 	}
@@ -191,7 +191,7 @@ type cliOptions struct {
 	ablate                   string
 	paths, showAll           bool
 	dis, jsonOut             bool
-	cacheDir, sumDir         string
+	cacheDir                 string
 	traceOut                 string
 	progress                 bool
 	stallWait                time.Duration
@@ -244,10 +244,10 @@ func (o cliOptions) observability() (opts []dtaint.Option, flush func() error, e
 	return opts, flush, nil
 }
 
-// analysisOptions translates the analysis flags (-ablate, -vocab, and
-// the given module filter and worker count) into library options.
-// Malformed ablation lists and vocabulary specs abort here, before any
-// analysis starts.
+// analysisOptions translates the analysis flags (-ablate, -vocab,
+// -cache-dir, and the given module filter and worker count) into
+// library options. Malformed ablation lists and vocabulary specs abort
+// here, before any analysis starts.
 func (o cliOptions) analysisOptions(module string, workers int) ([]dtaint.Option, error) {
 	var ablated dataflow.Options
 	if err := ablated.Ablate(o.ablate); err != nil {
@@ -279,29 +279,23 @@ func (o cliOptions) analysisOptions(module string, workers int) ([]dtaint.Option
 	if workers > 0 {
 		opts = append(opts, dtaint.WithParallelism(workers))
 	}
+	if o.cacheDir != "" {
+		c, err := dtaint.NewCache(o.cacheDir)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, dtaint.WithCache(c))
+	}
 	return opts, nil
 }
 
 // fleetOptions translates the shared orchestration flags (-workers,
-// -cache-dir, -summary-dir) into fleet options for runFleet and runDiff.
-func (o cliOptions) fleetOptions() ([]dtaint.FleetOption, error) {
+// -stall-timeout, -debug-dir) into fleet options for runFleet and
+// runDiff.
+func (o cliOptions) fleetOptions() []dtaint.FleetOption {
 	var fopts []dtaint.FleetOption
 	if o.workers > 0 {
 		fopts = append(fopts, dtaint.WithFleetWorkers(o.workers))
-	}
-	if o.cacheDir != "" {
-		cache, err := dtaint.NewFleetCache(0, o.cacheDir)
-		if err != nil {
-			return nil, err
-		}
-		fopts = append(fopts, dtaint.WithFleetCache(cache))
-	}
-	if o.sumDir != "" {
-		store, err := dtaint.NewSummaryStore(0, o.sumDir)
-		if err != nil {
-			return nil, err
-		}
-		fopts = append(fopts, dtaint.WithFleetSummaryStore(store))
 	}
 	if o.stallWait > 0 {
 		fopts = append(fopts, dtaint.WithFleetStallTimeout(o.stallWait))
@@ -309,7 +303,7 @@ func (o cliOptions) fleetOptions() ([]dtaint.FleetOption, error) {
 	if o.debugDir != "" {
 		fopts = append(fopts, dtaint.WithFleetDebugDir(o.debugDir))
 	}
-	return fopts, nil
+	return fopts
 }
 
 // runFleet scans every executable of the firmware rootfs through the
@@ -327,10 +321,6 @@ func runFleet(o cliOptions) (int, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	fopts, err := o.fleetOptions()
-	if err != nil {
-		return 0, 0, err
-	}
 	aopts, flushTrace, err := o.observability()
 	if err != nil {
 		return 0, 0, err
@@ -341,7 +331,7 @@ func runFleet(o cliOptions) (int, int, error) {
 	}
 	aopts = append(aopts, more...)
 	a := dtaint.New(aopts...)
-	img, err := a.ScanFirmwareFleet(context.Background(), data, fopts...)
+	img, err := a.ScanFirmwareFleet(context.Background(), data, o.fleetOptions()...)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -389,10 +379,6 @@ func runDiff(o cliOptions, oldPath, newPath string) (int, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	fopts, err := o.fleetOptions()
-	if err != nil {
-		return 0, 0, err
-	}
 	aopts, flushTrace, err := o.observability()
 	if err != nil {
 		return 0, 0, err
@@ -402,7 +388,7 @@ func runDiff(o cliOptions, oldPath, newPath string) (int, int, error) {
 		return 0, 0, err
 	}
 	aopts = append(aopts, more...)
-	rep, err := dtaint.New(aopts...).ScanFirmwareDiff(context.Background(), oldData, newData, fopts...)
+	rep, err := dtaint.New(aopts...).ScanFirmwareDiff(context.Background(), oldData, newData, o.fleetOptions()...)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -494,13 +480,6 @@ func run(o cliOptions) (int, error) {
 		return 0, err
 	}
 	aopts = append(aopts, more...)
-	if o.sumDir != "" {
-		store, err := dtaint.NewSummaryStore(0, o.sumDir)
-		if err != nil {
-			return 0, err
-		}
-		aopts = append(aopts, dtaint.WithSummaryStore(store))
-	}
 	rep, err := dtaint.New(aopts...).AnalyzeExecutable(raw)
 	if err != nil {
 		return 0, err

@@ -37,11 +37,12 @@
 // instead of piling up in memory. Reports are cached content-addressed
 // (SHA-256 of the binary plus the analyzer-options fingerprint), so
 // re-scanning an image — or a fleet of images sharing binaries — is
-// served from cache; -cache-dir persists the cache across restarts.
-// Below the report cache, a function-summary store shared across all
-// jobs replays per-function analysis for code recurring across distinct
-// binaries (same SDK, same libc); -summary-size bounds its in-memory
-// tier and -summary-dir persists it across restarts. SIGINT/SIGTERM
+// served from cache. Below the report cache, a function-summary store
+// shared across all jobs replays per-function analysis for code
+// recurring across distinct binaries (same SDK, same libc). Both keep
+// their hot set in a bounded in-memory LRU; -cache-dir persists both
+// across restarts in one directory (reports as <key>.json, summaries
+// as <key>.dtss). SIGINT/SIGTERM
 // shuts down gracefully: the listener stops, the running job drains,
 // queued jobs are failed with a shutdown error.
 //
@@ -53,7 +54,7 @@
 // event; a reconnecting client resumes exactly where it left off by
 // sending the standard Last-Event-ID header. GET /v1/events is the
 // all-jobs firehose. -stall-timeout arms a per-job watchdog: a job
-// journaling no events for that long has its in-flight binaries
+// with no span activity for that long has its in-flight binaries
 // abandoned (reported as status "stalled", never an empty success) and,
 // with -debug-dir, a diagnostic bundle written to disk. GET /healthz is
 // the liveness probe; GET /readyz answers 503 once graceful drain
@@ -100,17 +101,14 @@ func main() {
 		workers     = flag.Int("workers", 0, "binaries analyzed concurrently per job (0 = GOMAXPROCS)")
 		queueCap    = flag.Int("queue", 16, "maximum queued scan jobs before 429")
 		jobTimeout  = flag.Duration("binary-timeout", 10*time.Minute, "per-binary analysis timeout (0 = none)")
-		cacheSize   = flag.Int("cache-size", 1024, "in-memory report cache entries")
-		cacheDir    = flag.String("cache-dir", "", "persistent report cache directory (empty = memory only)")
-		sumSize     = flag.Int("summary-size", 4096, "in-memory function-summary store entries")
-		sumDir      = flag.String("summary-dir", "", "persistent function-summary store directory (empty = memory only)")
+		cacheDir    = flag.String("cache-dir", "", "persistent directory for the report cache and function-summary store (empty = memory only)")
 		maxUpload   = flag.Int64("max-upload", 256<<20, "maximum firmware upload bytes")
 		ablate      = flag.String("ablate", "", "comma-separated analysis features to disable: alias, sse, structsim, vrange")
 		vocabPath   = flag.String("vocab", "", "default source/sink/sanitizer vocabulary spec (JSON; empty = embedded default)")
 		drainWait   = flag.Duration("drain", 5*time.Minute, "shutdown grace for the running job")
 		drainNotice = flag.Duration("drain-notice", 0, "delay between flipping /readyz to 503 and stopping the listener")
 		journalSize = flag.Int("journal", events.DefaultJournalSize, "event journal ring size for SSE streaming (0 = telemetry off)")
-		stallWait   = flag.Duration("stall-timeout", 0, "per-job stall watchdog deadline: no telemetry events for this long abandons the binary (0 = off)")
+		stallWait   = flag.Duration("stall-timeout", 0, "per-job stall watchdog deadline: no span activity for this long abandons the binary (0 = off)")
 		debugDir    = flag.String("debug-dir", "", "directory receiving one diagnostic bundle per watchdog stall (empty = off)")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "log format: text or json")
@@ -119,8 +117,7 @@ func main() {
 	flag.Parse()
 	opts := serveOptions{
 		addr: *addr, workers: *workers, queueCap: *queueCap,
-		cacheSize: *cacheSize, cacheDir: *cacheDir, maxUpload: *maxUpload,
-		sumSize: *sumSize, sumDir: *sumDir,
+		cacheDir: *cacheDir, maxUpload: *maxUpload,
 		jobTimeout: *jobTimeout, drainWait: *drainWait, drainNotice: *drainNotice,
 		journalSize: *journalSize, stallWait: *stallWait, debugDir: *debugDir,
 		ablate: *ablate, vocabPath: *vocabPath,
@@ -137,10 +134,7 @@ type serveOptions struct {
 	addr        string
 	workers     int
 	queueCap    int
-	cacheSize   int
 	cacheDir    string
-	sumSize     int
-	sumDir      string
 	maxUpload   int64
 	jobTimeout  time.Duration
 	drainWait   time.Duration
@@ -167,11 +161,11 @@ func (o serveOptions) config() (config, error) {
 	if err != nil {
 		return config{}, err
 	}
-	cache, err := fleet.NewCache(o.cacheSize, o.cacheDir)
+	cache, err := fleet.NewCache(0, o.cacheDir)
 	if err != nil {
 		return config{}, err
 	}
-	store, err := sumstore.NewStore(o.sumSize, o.sumDir)
+	store, err := sumstore.NewStore(0, o.cacheDir)
 	if err != nil {
 		return config{}, err
 	}

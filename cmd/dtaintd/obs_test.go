@@ -1,13 +1,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"dtaint"
 	"dtaint/internal/obs"
 )
 
@@ -143,6 +147,67 @@ func TestMetricsWithoutRegistry(t *testing.T) {
 	}
 	if len(m.Metrics) != 0 {
 		t.Fatalf("nil registry produced a snapshot: %+v", m.Metrics)
+	}
+}
+
+// TestCacheMetricsParity: after one fleet scan with a cache attached,
+// the library's registry and dtaintd's /v1/metrics expose the same
+// report-cache and summary-store series, from the one Stats.Publish.
+func TestCacheMetricsParity(t *testing.T) {
+	fw := testFirmware(t)
+	tierSeries := func(exposition string) []string {
+		var names []string
+		for _, line := range strings.Split(exposition, "\n") {
+			name, ok := strings.CutPrefix(line, "# TYPE ")
+			name, _, _ = strings.Cut(name, " ")
+			if ok && (strings.HasPrefix(name, "dtaint_cache_") || strings.HasPrefix(name, "dtaint_sumstore_")) {
+				names = append(names, name)
+			}
+		}
+		slices.Sort(names)
+		return names
+	}
+
+	cache, err := dtaint.NewCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := dtaint.NewMetrics()
+	if _, err := dtaint.New(dtaint.WithCache(cache), dtaint.WithMetrics(m)).
+		ScanFirmwareFleet(context.Background(), fw); err != nil {
+		t.Fatal(err)
+	}
+	var lib strings.Builder
+	if err := m.WritePrometheus(&lib); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg, err := serveOptions{logLevel: "error", logFormat: "text"}.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := startTestServer(t, cfg)
+	waitDone(t, ts, postScan(t, ts, fw))
+	req, _ := http.NewRequest("GET", ts.URL+"/v1/metrics", nil)
+	req.Header.Set("Accept", "text/plain")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+
+	var want []string
+	for _, tier := range []string{"cache", "sumstore"} {
+		for _, series := range []string{"disk_hits_total", "entries", "evictions_total", "hit_ratio", "hits_total", "misses_total"} {
+			want = append(want, "dtaint_"+tier+"_"+series)
+		}
+	}
+	if got := tierSeries(lib.String()); !reflect.DeepEqual(got, want) {
+		t.Errorf("library series = %v, want %v", got, want)
+	}
+	if got := tierSeries(string(served)); !reflect.DeepEqual(got, want) {
+		t.Errorf("dtaintd series = %v, want %v", got, want)
 	}
 }
 

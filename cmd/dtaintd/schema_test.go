@@ -128,11 +128,11 @@ func TestServedReportMatchesCLI(t *testing.T) {
 		}
 	}
 
-	shared, err := dtaint.NewFleetCache(0, cacheDir)
+	shared, err := dtaint.NewCache(cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := a.ScanFirmwareFleet(context.Background(), fw, dtaint.WithFleetCache(shared))
+	warm, err := dtaint.New(dtaint.WithCache(shared)).ScanFirmwareFleet(context.Background(), fw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,9 @@ const (
 	stateRunning = "running"
 	stateDone    = "done"
 	stateFailed  = "failed"
-	// stateStalled: the scan finished but the stall watchdog abandoned
-	// one or more binaries — a distinct terminal state so a killed
-	// analysis never reads as a clean, empty success.
+	// stateStalled: the scan or diff finished but the stall watchdog
+	// abandoned one or more binaries — a distinct terminal state so a
+	// killed analysis never reads as a clean, empty success.
 	stateStalled = "stalled"
 )
 
@@ -312,7 +312,7 @@ func (s *server) finishJob(j *job, rep *fleet.ImageReport, drep *diff.Report, er
 			"vulnerabilities": rep.Vulnerabilities, "stalled": rep.Stalled}
 	case drep != nil:
 		ev.Attrs = map[string]any{"new": drep.NewFindings, "fixed": drep.FixedFindings,
-			"persisting": drep.PersistingFindings}
+			"persisting": drep.PersistingFindings, "stalled": drep.Stalled}
 	}
 	s.cfg.journal.Append(ev)
 
@@ -324,11 +324,15 @@ func (s *server) finishJob(j *job, rep *fleet.ImageReport, drep *diff.Report, er
 		s.jobsFailed++
 	} else {
 		j.state = stateDone
-		if rep != nil {
+		switch {
+		case rep != nil:
 			j.done, j.total = rep.Candidates, rep.Candidates
-			if j.stalled = rep.Stalled; j.stalled > 0 {
-				j.state = stateStalled
-			}
+			j.stalled = rep.Stalled
+		case drep != nil:
+			j.stalled = drep.Stalled
+		}
+		if j.stalled > 0 {
+			j.state = stateStalled
 		}
 		s.jobsDone++
 	}
@@ -732,13 +736,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg.Gauge("dtaintd_queue_depth", "Jobs waiting in the queue.", nil).Set(float64(m.QueueDepth))
 	reg.Gauge("dtaintd_queue_cap", "Queue capacity.", nil).Set(float64(m.QueueCap))
 	if m.Cache != nil {
-		reg.Counter("dtaint_cache_hits_total", "Report cache hits.", nil).Store(m.Cache.Hits)
-		reg.Counter("dtaint_cache_misses_total", "Report cache misses.", nil).Store(m.Cache.Misses)
-		reg.Counter("dtaint_cache_evictions_total", "Report cache LRU evictions.", nil).Store(m.Cache.Evictions)
-		reg.Gauge("dtaint_cache_entries", "Report cache in-memory entries.", nil).Set(float64(m.Cache.Entries))
-		m.Cache.Publish(reg)
+		m.Cache.Publish(reg, "cache")
 	}
-	s.cfg.sumStore.PublishMetrics(reg)
+	s.cfg.sumStore.Stats().Publish(reg, "sumstore")
 
 	// Content negotiation: Prometheus scrapers ask for text/plain, API
 	// clients get the JSON view (registry snapshot included).

@@ -14,6 +14,7 @@ import (
 	"dtaint/internal/corpus"
 	"dtaint/internal/diff"
 	"dtaint/internal/fleet"
+	"dtaint/internal/obs/events"
 	"dtaint/internal/sumstore"
 )
 
@@ -381,6 +382,37 @@ func TestDiffEndToEnd(t *testing.T) {
 }
 
 // Malformed diff uploads are rejected at accept time.
+// TestFinishJobStalled: a scan or a diff whose report counts binaries
+// the stall watchdog abandoned ends in state stalled, never done, with
+// the count in its view and on its job.done event.
+func TestFinishJobStalled(t *testing.T) {
+	journal := events.NewJournal(0)
+	s := newServer(config{journal: journal})
+	for _, tc := range []struct {
+		j    *job
+		rep  *fleet.ImageReport
+		drep *diff.Report
+	}{
+		{&job{id: "scan", kind: kindScan}, &fleet.ImageReport{Candidates: 3, Stalled: 2}, nil},
+		{&job{id: "diff", kind: kindDiff}, nil, &diff.Report{Stalled: 2}},
+	} {
+		j := tc.j
+		s.finishJob(j, tc.rep, tc.drep, nil)
+		if v := s.view(j); v.State != stateStalled || v.BinariesStalled != 2 {
+			t.Fatalf("%s job: state %q, %d binaries stalled; want %q, 2", j.kind, v.State, v.BinariesStalled, stateStalled)
+		}
+		var done *events.ScanEvent
+		for _, ev := range journal.Snapshot() {
+			if ev.Job == j.id && ev.Type == events.TypeJobDone {
+				done = &ev
+			}
+		}
+		if done == nil || done.Attrs["stalled"] != 2 {
+			t.Fatalf("%s job: job.done event %+v, want attr stalled=2", j.kind, done)
+		}
+	}
+}
+
 func TestDiffBadRequests(t *testing.T) {
 	_, ts := startTestServer(t, config{})
 

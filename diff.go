@@ -1,7 +1,6 @@
 package dtaint
 
 import (
-	"cmp"
 	"context"
 
 	"dtaint/internal/diff"
@@ -68,12 +67,12 @@ const (
 )
 
 // ScanFirmwareDiff diffs two firmware images: binaries are paired by
-// rootfs path and content hash, unchanged ones replay from the fleet
-// report cache (supply one with WithFleetCache — a prior
+// rootfs path and content hash, unchanged ones replay from the report
+// tier of the Analyzer's Cache (attach one with WithCache — a prior
 // ScanFirmwareFleet of the old image warms it), changed ones are
-// re-analyzed with unchanged functions replaying from the summary store
-// (WithFleetSummaryStore), and findings are matched across versions so
-// each classifies as new, fixed, or persisting. The Analyzer's own
+// re-analyzed with unchanged functions replaying from its summary tier,
+// and findings are matched across versions so each classifies as new,
+// fixed, or persisting. The Analyzer's own
 // options apply to every analysis, and the same FleetOption set as
 // ScanFirmwareFleet — workers, timeout, stall watchdog, debug bundles,
 // caches, filters, progress — configures the binaries' runner.
@@ -81,7 +80,7 @@ func (a *Analyzer) ScanFirmwareDiff(ctx context.Context, oldImage, newImage []by
 	fo := a.fleetOptions(opts)
 	rep, err := diff.Diff(ctx, oldImage, newImage, fo)
 	if err == nil {
-		a.publish(rep.Cache, cmp.Or(fo.SummaryStore, fo.Analysis.SummaryStore).Stats())
+		a.publish(rep.Cache, fo.SummaryStore.Stats())
 	}
 	return rep, err
 }

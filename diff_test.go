@@ -23,25 +23,19 @@ func TestScanFirmwareDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache, err := dtaint.NewFleetCache(256, "")
+	cache, err := dtaint.NewCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := dtaint.NewSummaryStore(0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := dtaint.New()
+	a := dtaint.New(dtaint.WithCache(cache))
 	// Nightly flow: the old version was already fleet-scanned through the
-	// same cache and store.
+	// same cache.
 	if _, err := a.ScanFirmwareFleet(context.Background(), vp.Old,
-		dtaint.WithFleetWorkers(2), dtaint.WithFleetCache(cache),
-		dtaint.WithFleetSummaryStore(store)); err != nil {
+		dtaint.WithFleetWorkers(2)); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := a.ScanFirmwareDiff(context.Background(), vp.Old, vp.New,
-		dtaint.WithFleetWorkers(2), dtaint.WithFleetCache(cache),
-		dtaint.WithFleetSummaryStore(store))
+		dtaint.WithFleetWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,17 +71,15 @@ func TestScanFirmwareDiffIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache, err := dtaint.NewFleetCache(64, "")
+	cache, err := dtaint.NewCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := dtaint.New()
-	if _, err := a.ScanFirmwareFleet(context.Background(), fw,
-		dtaint.WithFleetCache(cache)); err != nil {
+	a := dtaint.New(dtaint.WithCache(cache))
+	if _, err := a.ScanFirmwareFleet(context.Background(), fw); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := a.ScanFirmwareDiff(context.Background(), fw, fw,
-		dtaint.WithFleetCache(cache))
+	rep, err := a.ScanFirmwareDiff(context.Background(), fw, fw)
 	if err != nil {
 		t.Fatal(err)
 	}

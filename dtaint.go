@@ -136,14 +136,18 @@ func WithParallelism(workers int) Option {
 	return func(a *Analyzer) { a.opts.Parallelism = workers }
 }
 
-// WithSummaryStore attaches a shared function-summary store: each
-// analyzed function's summary is keyed by a fingerprint of its bytes,
-// its ISA, and the analysis-options version, and looked up before
-// symbolic execution. Across analyses of binaries that share code, each
-// unique function is executed once. Results are bit-identical with and
-// without the store.
-func WithSummaryStore(store *SummaryStore) Option {
-	return func(a *Analyzer) { a.opts.SummaryStore = store.s }
+// WithCache attaches a shared two-tier Cache. Every analysis looks
+// each function's summary up in its summary tier before symbolic
+// execution, so across analyses of binaries that share code each unique
+// function is executed once; image, corpus, and diff scans also replay
+// whole-binary reports from its report tier. Results are bit-identical
+// with and without a cache. Nil attaches none.
+func WithCache(c *Cache) Option {
+	return func(a *Analyzer) {
+		if c != nil {
+			a.reports, a.opts.SummaryStore = c.reports, c.summaries
+		}
+	}
 }
 
 // WithBufferSource registers a custom input-source function that fills
@@ -251,7 +255,10 @@ func WithVocabulary(v *Vocabulary) Option {
 // Analyzer runs the DTaint pipeline. The zero value is not usable; call
 // New.
 type Analyzer struct {
+	// opts carries the summary tier of the WithCache Cache.
 	opts dataflow.Options
+	// reports is the report tier of the WithCache Cache (nil = none).
+	reports *fleet.Cache
 	// sinks are the telemetry surfaces attached with WithEventJournal,
 	// WithMetrics, and WithLogger; every call derives them from its span
 	// stream (see traced).
@@ -290,7 +297,7 @@ var (
 // first executable that parses as a program image is analyzed.
 func (a *Analyzer) AnalyzeFirmware(data []byte, binaryPath string) (*Report, error) {
 	opts := a.traced()
-	defer func() { a.publish(fleet.CacheStats{}, opts.SummaryStore.Stats()) }()
+	defer func() { a.publish(CacheStats{}, opts.SummaryStore.Stats()) }()
 	st := opts.Tracer.Start(opts.ParentSpan, "unpack-firmware", obs.KV("bytes", len(data)))
 	_, fs, err := firmware.Unpack(data)
 	if err != nil {
@@ -316,7 +323,7 @@ func (a *Analyzer) AnalyzeFirmware(data []byte, binaryPath string) (*Report, err
 // AnalyzeExecutable analyzes a serialized program image (FWELF bytes).
 func (a *Analyzer) AnalyzeExecutable(data []byte) (*Report, error) {
 	opts := a.traced()
-	defer func() { a.publish(fleet.CacheStats{}, opts.SummaryStore.Stats()) }()
+	defer func() { a.publish(CacheStats{}, opts.SummaryStore.Stats()) }()
 	return fleet.AnalyzeBinary(firmware.File{Path: "executable", Data: data}, opts)
 }
 

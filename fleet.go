@@ -1,7 +1,6 @@
 package dtaint
 
 import (
-	"cmp"
 	"context"
 	"time"
 
@@ -32,10 +31,9 @@ type (
 	// input order, the cross-image binary dedup accounting, and final
 	// snapshots of the shared cache tiers.
 	CorpusReport = fleet.CorpusReport
-	// CacheStats snapshots the fleet report cache's counters.
+	// CacheStats snapshots the counters of one tier of a Cache: its
+	// report tier or its summary tier.
 	CacheStats = fleet.CacheStats
-	// SummaryStoreStats snapshots a summary store's counters.
-	SummaryStoreStats = sumstore.Stats
 )
 
 // Binary scan outcomes.
@@ -56,55 +54,43 @@ const (
 	BinarySkipped = fleet.StatusSkipped
 )
 
-// FleetCache is a process-wide content-addressed report cache shared
-// across image scans: key = SHA-256(binary bytes) + analyzer-options
-// fingerprint. Fleets of firmware images share binaries heavily (every
-// image ships busybox; the same daemons recur across models), so a
-// shared cache collapses a fleet scan to one analysis per distinct
-// binary. Safe for concurrent use.
-type FleetCache struct {
-	c *fleet.Cache
+// Cache is a process-wide content-addressed cache shared across
+// analyses, in two tiers over one store implementation. The report
+// tier holds whole-binary reports keyed by SHA-256(binary bytes) plus
+// the analyzer-options fingerprint: firmware fleets share binaries
+// heavily (every image ships busybox; the same daemons recur across
+// models), so it collapses a fleet scan to one analysis per distinct
+// binary. The summary tier holds per-function and per-component
+// analysis summaries keyed by the function's bytes, ISA, and the
+// analysis-options version: it collapses duplicate functions across
+// distinct binaries, so each unique function of a fleet's shared SDK
+// and libc code is symbolically executed once. Results are
+// bit-identical with and without a cache. Safe for concurrent use.
+type Cache struct {
+	reports   *fleet.Cache
+	summaries *sumstore.Store
 }
 
-// NewFleetCache returns a cache holding at most maxEntries reports in
-// memory (<= 0 selects a default). A non-empty dir adds a persistent
-// on-disk tier that survives process restarts.
-func NewFleetCache(maxEntries int, dir string) (*FleetCache, error) {
-	c, err := fleet.NewCache(maxEntries, dir)
+// NewCache returns a cache with the default in-memory bounds (1024
+// reports, 4096 summaries). A non-empty dir adds a persistent on-disk
+// tier that survives process restarts; both tiers share it, reports as
+// <key>.json files and summaries as <key>.dtss files.
+func NewCache(dir string) (*Cache, error) {
+	reports, err := fleet.NewCache(0, dir)
 	if err != nil {
 		return nil, err
 	}
-	return &FleetCache{c: c}, nil
-}
-
-// Stats returns the cache's counters.
-func (c *FleetCache) Stats() CacheStats { return c.c.Stats() }
-
-// SummaryStore is a process-wide content-addressed store of per-function
-// analysis summaries, shared across scans: key = fingerprint of the
-// function's bytes, ISA, and the analysis-options version. Where the
-// FleetCache collapses duplicate binaries, the SummaryStore collapses
-// duplicate functions across distinct binaries — firmware fleets reuse
-// the same SDK and libc code in binary after binary, so each unique
-// function is symbolically executed once per corpus. Results are
-// bit-identical with and without a store. Safe for concurrent use.
-type SummaryStore struct {
-	s *sumstore.Store
-}
-
-// NewSummaryStore returns a store holding at most maxEntries summaries
-// in memory (<= 0 selects a default). A non-empty dir adds a persistent
-// on-disk tier that survives process restarts.
-func NewSummaryStore(maxEntries int, dir string) (*SummaryStore, error) {
-	s, err := sumstore.NewStore(maxEntries, dir)
+	summaries, err := sumstore.NewStore(0, dir)
 	if err != nil {
 		return nil, err
 	}
-	return &SummaryStore{s: s}, nil
+	return &Cache{reports: reports, summaries: summaries}, nil
 }
 
-// Stats returns the store's counters.
-func (s *SummaryStore) Stats() SummaryStoreStats { return s.s.Stats() }
+// Stats returns the counters of the report tier and the summary tier.
+func (c *Cache) Stats() (reports, summaries CacheStats) {
+	return c.reports.Stats(), c.summaries.Stats()
+}
 
 // FleetOption configures an image scan beyond the Analyzer's own
 // options.
@@ -113,7 +99,7 @@ type FleetOption func(*fleet.Options)
 // fleetOptions applies opts over the Analyzer's own analysis options —
 // the one construction behind every image, corpus, and diff scan.
 func (a *Analyzer) fleetOptions(opts []FleetOption) fleet.Options {
-	fo := fleet.Options{Analysis: a.traced()}
+	fo := fleet.Options{Analysis: a.traced(), Cache: a.reports, SummaryStore: a.opts.SummaryStore}
 	for _, o := range opts {
 		o(&fo)
 	}
@@ -132,26 +118,6 @@ func WithFleetWorkers(n int) FleetOption {
 // binaries are reported as BinaryTimeout without failing the image.
 func WithFleetTimeout(d time.Duration) FleetOption {
 	return func(o *fleet.Options) { o.PerBinaryTimeout = d }
-}
-
-// WithFleetCache attaches a shared report cache to the scan.
-func WithFleetCache(cache *FleetCache) FleetOption {
-	return func(o *fleet.Options) {
-		if cache != nil {
-			o.Cache = cache.c
-		}
-	}
-}
-
-// WithFleetSummaryStore attaches a shared function-summary store to the
-// scan: binaries that share code (same SDK, same libc) re-use each
-// other's per-function analysis results.
-func WithFleetSummaryStore(store *SummaryStore) FleetOption {
-	return func(o *fleet.Options) {
-		if store != nil {
-			o.SummaryStore = store.s
-		}
-	}
 }
 
 // WithFleetPathFilter restricts the scan to rootfs paths for which keep
@@ -176,12 +142,12 @@ func WithFleetProgress(fn func(done, total int)) FleetOption {
 	return func(o *fleet.Options) { o.Progress = fn }
 }
 
-// WithFleetStallTimeout arms a stall watchdog over the scan's event
-// stream: when no telemetry event is journaled for d, the watchdog
-// emits a stall event, captures a diagnostic bundle (WithFleetDebugDir)
-// and abandons the in-flight binaries — they report BinaryStalled,
-// never an empty success. Pick d well above the slowest single
-// function's analysis time; 0 (the default) disables the watchdog.
+// WithFleetStallTimeout arms a stall watchdog over the scan's span
+// stream: when no span starts or ends for d, the watchdog emits a stall
+// event, captures a diagnostic bundle (WithFleetDebugDir) and abandons
+// the in-flight binaries — they report BinaryStalled, never an empty
+// success. Pick d well above the slowest single function's analysis
+// time; 0 (the default) disables the watchdog.
 func WithFleetStallTimeout(d time.Duration) FleetOption {
 	return func(o *fleet.Options) { o.StallTimeout = d }
 }
@@ -198,14 +164,15 @@ func WithFleetDebugDir(dir string) FleetOption {
 // executable in its root filesystem across a bounded worker pool — the
 // whole-image counterpart of AnalyzeFirmware. One corrupt binary cannot
 // kill the scan (panic isolation, per-binary timeouts), cancelling ctx
-// stops new work, and a FleetCache shared across calls makes re-scans
-// and binary-sharing fleets cheap. The Analyzer's own options (filters,
-// ablations, custom sources/sinks, parallelism) apply to every binary.
+// stops new work, and a Cache shared across calls (WithCache) makes
+// re-scans and binary-sharing fleets cheap. The Analyzer's own options
+// (filters, ablations, custom sources/sinks, parallelism) apply to
+// every binary.
 func (a *Analyzer) ScanFirmwareFleet(ctx context.Context, data []byte, opts ...FleetOption) (*ImageReport, error) {
 	fo := a.fleetOptions(opts)
 	rep, err := fleet.ScanImage(ctx, data, fo)
 	if err == nil {
-		a.publish(rep.Cache, cmp.Or(fo.SummaryStore, fo.Analysis.SummaryStore).Stats())
+		a.publish(rep.Cache, fo.SummaryStore.Stats())
 	}
 	return rep, err
 }
@@ -213,11 +180,11 @@ func (a *Analyzer) ScanFirmwareFleet(ctx context.Context, data []byte, opts ...F
 // ScanFirmwareCorpus scans a corpus of firmware images with one report
 // cache and one summary store shared across every image — each unique
 // binary is analyzed once per corpus and each unique function is
-// symbolically executed once per corpus. Supply the tiers with
-// WithFleetCache / WithFleetSummaryStore to persist or reuse them across
-// calls; otherwise corpus-lifetime in-memory tiers are created. Images
-// are scanned sequentially, each fanning its binaries across the worker
-// pool; cancelling ctx stops new work.
+// symbolically executed once per corpus. Attach a Cache with WithCache
+// to persist or reuse the tiers across calls; otherwise corpus-lifetime
+// in-memory tiers are created. Images are scanned sequentially, each
+// fanning its binaries across the worker pool; cancelling ctx stops new
+// work.
 func (a *Analyzer) ScanFirmwareCorpus(ctx context.Context, images [][]byte, opts ...FleetOption) (*CorpusReport, error) {
 	rep, err := fleet.ScanCorpus(ctx, images, a.fleetOptions(opts))
 	if err == nil {

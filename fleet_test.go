@@ -72,19 +72,19 @@ func TestScanFirmwareFleetCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache, err := dtaint.NewFleetCache(64, "")
+	cache, err := dtaint.NewCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := dtaint.New()
-	first, err := a.ScanFirmwareFleet(context.Background(), fw, dtaint.WithFleetCache(cache))
+	a := dtaint.New(dtaint.WithCache(cache))
+	first, err := a.ScanFirmwareFleet(context.Background(), fw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Cached != 0 || first.Scanned != 1 {
 		t.Fatalf("first scan cached/scanned = %d/%d, want 0/1", first.Cached, first.Scanned)
 	}
-	second, err := a.ScanFirmwareFleet(context.Background(), fw, dtaint.WithFleetCache(cache))
+	second, err := a.ScanFirmwareFleet(context.Background(), fw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestScanFirmwareFleetCache(t *testing.T) {
 	if second.Vulnerabilities != first.Vulnerabilities {
 		t.Fatalf("cached scan changed totals: %d vs %d", second.Vulnerabilities, first.Vulnerabilities)
 	}
-	if st := cache.Stats(); st.Entries == 0 || st.Hits == 0 {
+	if st, _ := cache.Stats(); st.Entries == 0 || st.Hits == 0 {
 		t.Fatalf("cache stats empty: %+v", st)
 	}
 }
@@ -137,13 +137,12 @@ func TestScanFirmwareCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := dtaint.NewSummaryStore(0, "")
+	cache, err := dtaint.NewCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := dtaint.New()
-	rep, err := a.ScanFirmwareCorpus(context.Background(), c.Images,
-		dtaint.WithFleetSummaryStore(store))
+	a := dtaint.New(dtaint.WithCache(cache))
+	rep, err := a.ScanFirmwareCorpus(context.Background(), c.Images)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func TestWithSummaryStoreSingleBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := dtaint.NewSummaryStore(0, "")
+	cache, err := dtaint.NewCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +186,12 @@ func TestWithSummaryStoreSingleBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := dtaint.New(dtaint.WithSummaryStore(store))
+	a := dtaint.New(dtaint.WithCache(cache))
 	first, err := a.AnalyzeFirmware(fw, "/htdocs/cgibin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := store.Stats()
+	_, st := cache.Stats()
 	if st.Misses == 0 || st.Entries == 0 {
 		t.Fatalf("cold run should populate the store: %+v", st)
 	}
@@ -200,7 +199,7 @@ func TestWithSummaryStoreSingleBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := store.Stats().Hits - st.Hits; hits == 0 {
+	if _, warm := cache.Stats(); warm.Hits == st.Hits {
 		t.Fatal("warm run had no store hits")
 	}
 	w := vulnKeys(want.Findings)
@@ -247,11 +246,11 @@ func TestFindingEvidenceSurvivesEveryPath(t *testing.T) {
 		t.Helper()
 		// A new cache per run: the replay must come from the disk tier,
 		// as it would in a new process.
-		cache, err := dtaint.NewFleetCache(0, dir)
+		cache, err := dtaint.NewCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, err := a.ScanFirmwareFleet(context.Background(), fw, dtaint.WithFleetCache(cache))
+		img, err := dtaint.New(dtaint.WithCache(cache)).ScanFirmwareFleet(context.Background(), fw)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,43 +1,18 @@
 package fleet
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"dtaint/internal/dataflow"
-	"dtaint/internal/obs"
+	"dtaint/internal/sumstore"
 )
 
-// CacheStats is a snapshot of the report cache's counters.
-type CacheStats struct {
-	// Hits counts lookups served from memory or disk.
-	Hits uint64 `json:"hits"`
-	// DiskHits is the subset of Hits that had to read the on-disk tier
-	// (a miss in the LRU; the entry is promoted back into memory).
-	DiskHits uint64 `json:"diskHits"`
-	// Misses counts lookups that found nothing and forced an analysis.
-	Misses uint64 `json:"misses"`
-	// Evictions counts LRU entries dropped from memory (the disk tier,
-	// when configured, never evicts).
-	Evictions uint64 `json:"evictions"`
-	// Entries is the current in-memory entry count.
-	Entries int `json:"entries"`
-}
-
-// Publish sets the cache hit ratio gauge in reg — the cache owner's
-// call; a cache that saw no lookups publishes nothing.
-func (st CacheStats) Publish(reg *obs.Registry) {
-	if total := st.Hits + st.Misses; total > 0 {
-		reg.Gauge("dtaint_cache_hit_ratio", "Report cache hit ratio over the cache's lifetime.",
-			nil).Set(float64(st.Hits) / float64(total))
-	}
-}
+// CacheStats is a snapshot of the report cache's counters: the same
+// type as the summary store's, since both are one Tier.
+type CacheStats = sumstore.Stats
 
 // Cache is the content-addressed report cache: key = SHA-256(binary
 // bytes) ⊕ analyzer-options fingerprint, value = the full BinaryAnalysis.
@@ -46,28 +21,16 @@ func (st CacheStats) Publish(reg *obs.Registry) {
 // cache turns a fleet scan from O(images × binaries) analyses into
 // O(distinct binaries).
 //
-// Two tiers: a bounded in-memory LRU for the hot set, and an optional
-// unbounded on-disk store (one JSON file per key) that survives process
-// restarts. Values are stored serialized and decoded on every Get, so
-// callers own their copy and cannot corrupt the cache by mutating a
-// returned report.
+// The cache is the JSON codec over a sumstore.Tier, the two-tier blob
+// store it shares with the summary store: a bounded in-memory LRU for
+// the hot set over an optional unbounded on-disk directory of
+// <key>.json files that survives process restarts. Values are decoded
+// on every Get, so callers own their copy and cannot corrupt the cache
+// by mutating a returned report.
 //
 // All methods are safe for concurrent use.
 type Cache struct {
-	mu      sync.Mutex
-	max     int
-	ll      *list.List // front = most recently used
-	items   map[string]*list.Element
-	dir     string
-	hits    uint64
-	disk    uint64
-	misses  uint64
-	evicted uint64
-}
-
-type cacheEntry struct {
-	key  string
-	blob []byte // JSON-encoded BinaryAnalysis
+	tier *sumstore.Tier
 }
 
 // NewCache returns a cache holding at most maxEntries reports in memory
@@ -77,17 +40,11 @@ func NewCache(maxEntries int, dir string) (*Cache, error) {
 	if maxEntries <= 0 {
 		maxEntries = 1024
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("fleet: cache dir: %w", err)
-		}
+	t, err := sumstore.NewTier(maxEntries, dir, ".json")
+	if err != nil {
+		return nil, fmt.Errorf("fleet: cache dir: %w", err)
 	}
-	return &Cache{
-		max:   maxEntries,
-		ll:    list.New(),
-		items: make(map[string]*list.Element),
-		dir:   dir,
-	}, nil
+	return &Cache{tier: t}, nil
 }
 
 // Key derives the content-addressed cache key for one binary under one
@@ -119,100 +76,26 @@ func Fingerprint(o dataflow.Options, filterTag string) string {
 }
 
 // Get looks the key up in memory, then on disk. Disk hits are promoted
-// back into the LRU.
+// back into the LRU; an entry that fails to decode is a miss.
 func (c *Cache) Get(key string) (*BinaryAnalysis, bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		blob := el.Value.(*cacheEntry).blob
-		c.hits++
-		c.mu.Unlock()
-		return decodeAnalysis(blob)
-	}
-	dir := c.dir
-	c.mu.Unlock()
-
-	if dir != "" {
-		blob, err := os.ReadFile(c.diskPath(key))
-		if err == nil {
-			if v, ok := decodeAnalysis(blob); ok {
-				c.mu.Lock()
-				c.hits++
-				c.disk++
-				c.insertLocked(key, blob)
-				c.mu.Unlock()
-				return v, true
-			}
-		}
-	}
-
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
-	return nil, false
+	return sumstore.Get(c.tier, key, decodeAnalysis)
 }
 
 // Put stores the report under key in memory and, when configured, on
-// disk. Serialization failures are impossible for well-formed reports;
-// disk write failures are ignored (the memory tier still serves).
+// disk. Serialization failures are impossible for well-formed reports.
 func (c *Cache) Put(key string, v *BinaryAnalysis) {
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	c.mu.Lock()
-	c.insertLocked(key, blob)
-	dir := c.dir
-	c.mu.Unlock()
-	if dir != "" {
-		// Write-then-rename so a crashed writer never leaves a torn
-		// entry for a future Get to decode.
-		tmp := c.diskPath(key) + ".tmp"
-		if err := os.WriteFile(tmp, blob, 0o644); err == nil {
-			_ = os.Rename(tmp, c.diskPath(key))
-		}
+	if blob, err := json.Marshal(v); err == nil {
+		c.tier.Put(key, blob)
 	}
 }
 
 // Stats returns a snapshot of the counters.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits,
-		DiskHits:  c.disk,
-		Misses:    c.misses,
-		Evictions: c.evicted,
-		Entries:   len(c.items),
-	}
-}
+func (c *Cache) Stats() CacheStats { return c.tier.Stats() }
 
-func (c *Cache) insertLocked(key string, blob []byte) {
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).blob = blob
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, blob: blob})
-	for len(c.items) > c.max {
-		last := c.ll.Back()
-		if last == nil {
-			break
-		}
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*cacheEntry).key)
-		c.evicted++
-	}
-}
-
-func (c *Cache) diskPath(key string) string {
-	return filepath.Join(c.dir, key+".json")
-}
-
-func decodeAnalysis(blob []byte) (*BinaryAnalysis, bool) {
+func decodeAnalysis(blob []byte) (*BinaryAnalysis, error) {
 	var v BinaryAnalysis
 	if err := json.Unmarshal(blob, &v); err != nil {
-		return nil, false
+		return nil, err
 	}
-	return &v, true
+	return &v, nil
 }

@@ -385,7 +385,7 @@ func scanOne(ctx context.Context, f firmware.File, opts Options) BinaryScan {
 	case <-stalled:
 		bs.Duration = time.Since(t0)
 		bs.Status = StatusStalled
-		bs.Error = fmt.Sprintf("watchdog: no events for %v; analysis abandoned", opts.StallTimeout)
+		bs.Error = fmt.Sprintf("watchdog: no span activity for %v; analysis abandoned", opts.StallTimeout)
 	case <-ctx.Done():
 		bs.Duration = time.Since(t0)
 		bs.Status = StatusFailed

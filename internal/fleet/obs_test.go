@@ -126,7 +126,7 @@ func TestScanImageLogsAndCacheRatio(t *testing.T) {
 		t.Fatalf("scan-binary/parse-image stage done lines = %v/%v, want both", sawBinaryLine, sawStageLine)
 	}
 
-	cache.Stats().Publish(reg)
+	cache.Stats().Publish(reg, "cache")
 
 	var ratio float64 = -1
 	for _, s := range reg.Snapshot() {

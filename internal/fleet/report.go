@@ -11,10 +11,12 @@
 //     fans them out across a bounded worker pool with per-binary
 //     timeouts, panic isolation, and context cancellation;
 //   - a content-addressed report cache (Cache) keyed by the SHA-256 of
-//     the binary bytes plus an analyzer-options fingerprint, with an
-//     in-memory LRU tier and an optional on-disk tier, so re-scanning an
-//     image — or a fleet of images sharing binaries — skips redundant
-//     analysis;
+//     the binary bytes plus an analyzer-options fingerprint, so
+//     re-scanning an image — or a fleet of images sharing binaries —
+//     skips redundant analysis. The cache is the JSON codec over
+//     sumstore.Tier, the two-tier blob store (in-memory LRU, optional
+//     on-disk directory) the function-summary store also uses, so both
+//     share one stats type and one Publish;
 //   - an aggregation layer (ImageReport) that merges per-binary results
 //     into Table VI-style per-image totals.
 //
@@ -47,8 +49,8 @@ const (
 	// StatusTimeout: the per-binary deadline elapsed before the analysis
 	// finished.
 	StatusTimeout Status = "timeout"
-	// StatusStalled: the stall watchdog fired (no telemetry events for
-	// the configured deadline) and the in-flight analysis was abandoned.
+	// StatusStalled: the stall watchdog fired (no span activity for the
+	// configured deadline) and the in-flight analysis was abandoned.
 	// Distinct from StatusTimeout so a watchdog kill never masquerades
 	// as an empty success or an ordinary deadline.
 	StatusStalled Status = "stalled"

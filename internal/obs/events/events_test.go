@@ -269,7 +269,7 @@ func TestPrinterLines(t *testing.T) {
 			Attrs: map[string]any{"status": "ok"}}, "dtaint: scanned /bin/sh (ok) in 2.00s"},
 		{ScanEvent{Type: TypeStall, Duration: 30 * time.Second,
 			Attrs: map[string]any{"bundle": "/tmp/d/stall-001"}},
-			"dtaint: STALL: no events for 30s, diagnostic bundle at /tmp/d/stall-001"},
+			"dtaint: STALL: no span activity for 30s, diagnostic bundle at /tmp/d/stall-001"},
 		{ScanEvent{Type: TypeBinaryStart}, ""},
 		{ScanEvent{Type: TypeProgress, Stage: "x", Done: 1, Total: 0}, ""},
 	}

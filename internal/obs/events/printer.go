@@ -55,7 +55,7 @@ func renderLine(ev ScanEvent) string {
 		status, _ := ev.Attrs["status"].(string)
 		return fmt.Sprintf("dtaint: scanned %s (%s) in %.2fs", ev.Path, status, ev.Duration.Seconds())
 	case TypeStall:
-		line := fmt.Sprintf("dtaint: STALL: no events for %v", ev.Duration)
+		line := fmt.Sprintf("dtaint: STALL: no span activity for %v", ev.Duration)
 		if b, _ := ev.Attrs["bundle"].(string); b != "" {
 			line += ", diagnostic bundle at " + b
 		}

@@ -4,10 +4,8 @@ import (
 	"io"
 	"log/slog"
 
-	"dtaint/internal/fleet"
 	"dtaint/internal/obs"
 	"dtaint/internal/obs/events"
-	"dtaint/internal/sumstore"
 )
 
 // Tracer records spans for every pipeline stage an Analyzer (or fleet
@@ -152,7 +150,7 @@ func WithLogger(l *slog.Logger) Option {
 // publish sets the state series of a call's report cache and summary
 // store in the Analyzer's registry: the Analyzer owns the tiers for the
 // call, and the analysis itself only opens spans.
-func (a *Analyzer) publish(cache fleet.CacheStats, store sumstore.Stats) {
-	cache.Publish(a.sinks.Metrics)
-	store.Publish(a.sinks.Metrics)
+func (a *Analyzer) publish(reports, summaries CacheStats) {
+	reports.Publish(a.sinks.Metrics, "cache")
+	summaries.Publish(a.sinks.Metrics, "sumstore")
 }

@@ -7,7 +7,9 @@
 # report finds at least one vulnerability and has the same top-level
 # keys as dtaint -rootfs-all -json (one report schema), dtaint
 # -rootfs-all -progress prints function and binary progress lines
-# without -trace-out, /v1/metrics speaks
+# without -trace-out, a second dtaint -rootfs-all run over one
+# -cache-dir replays cached binaries and the directory holds both
+# report (*.json) and summary (*.dtss) entries, /v1/metrics speaks
 # Prometheus text to a text/plain client, and the log stream contains a
 # valid JSON line for every pipeline stage (scripts/logcheck). It then
 # POSTs the image against itself to /v1/diff: with the cache warmed by
@@ -128,6 +130,18 @@ grep -Eq '^dtaint: function-analysis: [0-9]+/[0-9]+ functions \([0-9]+%\)' "$tmp
 	{ echo "smoke: no function-analysis progress line:"; cat "$tmp/progress.txt"; exit 1; }
 grep -Eq '^dtaint: scanned .* \((ok|cached)\) in ' "$tmp/progress.txt" ||
 	{ echo "smoke: no per-binary scanned line:"; cat "$tmp/progress.txt"; exit 1; }
+
+echo ">> smoke: one dtaint -cache-dir feeds both cache tiers"
+for run in cold warm; do
+	"$tmp/dtaint" -fw "$tmp/corpus/DIR-645.fwimg" -rootfs-all -progress \
+		-cache-dir "$tmp/cli-cache" >/dev/null 2>"$tmp/cache-$run.txt"
+done
+grep -Eq '^dtaint: scanned .* \(cached\) in ' "$tmp/cache-warm.txt" ||
+	{ echo "smoke: second -cache-dir run replayed nothing:"; cat "$tmp/cache-warm.txt"; exit 1; }
+ls "$tmp/cli-cache"/*.json >/dev/null 2>&1 ||
+	{ echo "smoke: -cache-dir holds no report (*.json) entries"; exit 1; }
+ls "$tmp/cli-cache"/*.dtss >/dev/null 2>&1 ||
+	{ echo "smoke: -cache-dir holds no summary (*.dtss) entries"; exit 1; }
 
 echo ">> smoke: POST /v1/diff (image against itself, warmed cache)"
 dresp=$(curl -sf -X POST -F old=@"$tmp/corpus/DIR-645.fwimg" -F new=@"$tmp/corpus/DIR-645.fwimg" "$base/v1/diff")

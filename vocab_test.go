@@ -121,7 +121,7 @@ func TestVocabularySummaryStoreKeying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := dtaint.NewSummaryStore(0, "")
+	cache, err := dtaint.NewCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestVocabularySummaryStoreKeying(t *testing.T) {
 		return v
 	}
 
-	cold, err := dtaint.New(dtaint.WithSummaryStore(store), dtaint.WithVocabulary(parse(miniVocab))).
+	cold, err := dtaint.New(dtaint.WithCache(cache), dtaint.WithVocabulary(parse(miniVocab))).
 		AnalyzeFirmware(fw, "/htdocs/cgibin")
 	if err != nil {
 		t.Fatal(err)
@@ -141,18 +141,18 @@ func TestVocabularySummaryStoreKeying(t *testing.T) {
 	if len(cold.Vulnerabilities()) == 0 {
 		t.Fatal("mini vocabulary found nothing; the keying assertions below would be vacuous")
 	}
-	st := store.Stats()
+	_, st := cache.Stats()
 	if st.Misses == 0 || st.Entries == 0 {
 		t.Fatalf("cold run should populate the store: %+v", st)
 	}
 
 	// Identical spec, parsed and compiled independently: warm replay.
-	warm, err := dtaint.New(dtaint.WithSummaryStore(store), dtaint.WithVocabulary(parse(miniVocab))).
+	warm, err := dtaint.New(dtaint.WithCache(cache), dtaint.WithVocabulary(parse(miniVocab))).
 		AnalyzeFirmware(fw, "/htdocs/cgibin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmSt := store.Stats()
+	_, warmSt := cache.Stats()
 	if warmSt.Hits == st.Hits {
 		t.Fatal("identical vocabulary did not replay from the store")
 	}
@@ -176,11 +176,11 @@ func TestVocabularySummaryStoreKeying(t *testing.T) {
 		`{"name": "popen", "kind": "sink", "class": "command-injection", "guardByte": ";",
 	 "args": [{"type": "char*", "role": "exec"}, {"type": "char*"}]},
 	{"name": "system",`, 1)
-	if _, err := dtaint.New(dtaint.WithSummaryStore(store), dtaint.WithVocabulary(parse(changed))).
+	if _, err := dtaint.New(dtaint.WithCache(cache), dtaint.WithVocabulary(parse(changed))).
 		AnalyzeFirmware(fw, "/htdocs/cgibin"); err != nil {
 		t.Fatal(err)
 	}
-	chSt := store.Stats()
+	_, chSt := cache.Stats()
 	if chSt.Hits != warmSt.Hits {
 		t.Fatalf("changed vocabulary got %d hits from the old vocabulary's summaries", chSt.Hits-warmSt.Hits)
 	}
