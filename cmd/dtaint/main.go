@@ -5,7 +5,7 @@
 //	dtaint -exe openssl.fwelf
 //	dtaint -fw camera.fwimg -bin /usr/bin/centaurus -module DS-2CD6233F
 //	dtaint -exe prog.fwelf -dis          # disassemble instead of analyzing
-//	dtaint -exe prog.fwelf -workers 8    # analysis worker count
+//	dtaint -exe prog.fwelf -workers 8    # worker budget
 //	dtaint -fw camera.fwimg -rootfs-all  # scan every executable in the image
 //
 // -ablate takes a comma-separated feature list (alias, sse, structsim,
@@ -20,9 +20,12 @@
 // the report in the schema dtaintd serves (every finding, sanitized
 // ones flagged, with its CWE and evidence); -paths and -all shape only
 // the text output.
-// -workers N sets the worker count for both parallel analysis phases —
-// the per-function pass and the bottom-up SCC-DAG scheduler (0, the
-// default, uses GOMAXPROCS; negative values are rejected).
+// -workers N is the worker budget in every mode: at most N goroutines
+// work at once (0, the default, uses GOMAXPROCS; negative values are
+// rejected). One scheduler spends it on the binaries of a -rootfs-all or
+// -diff scan first and lends idle workers to each analysis's
+// per-function and bottom-up SCC-DAG passes, so a one-binary image uses
+// all N. Output is identical for any N.
 // -vocab file.json replaces the embedded source/sink/sanitizer
 // vocabulary with a JSON spec (see DESIGN.md §3.5); malformed specs
 // are rejected with line- and field-precise errors before any
@@ -30,7 +33,7 @@
 //
 // -rootfs-all switches from one binary to the whole image: every FWELF
 // executable in the rootfs is scanned through the fleet orchestrator
-// (bounded worker pool, panic isolation) and per-image totals are
+// (the -workers budget, panic isolation) and per-image totals are
 // printed. -cache-dir (valid in every mode) keeps a persistent cache
 // in one directory: whole-binary reports (<key>.json), which re-scans
 // replay, and function summaries (<key>.dtss), so re-runs and binaries
@@ -85,6 +88,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -112,7 +116,7 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
 		mdOut     = flag.String("report", "", "write a Markdown report to this file")
 		traceFn   = flag.String("trace", "", "print the symbolic-analysis listing of one function (the paper's Figure 6) and exit")
-		workers   = flag.Int("workers", 0, "worker count for both analysis phases (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "worker budget shared by binaries and both analysis phases (0 = GOMAXPROCS)")
 		vocabPath = flag.String("vocab", "", "source/sink/sanitizer vocabulary spec (JSON; empty = embedded default)")
 		allBins   = flag.Bool("rootfs-all", false, "scan every FWELF executable in the firmware rootfs (requires -fw)")
 		diffMode  = flag.Bool("diff", false, "diff two firmware images given as positional arguments: dtaint -diff old.fwimg new.fwimg")
@@ -227,15 +231,7 @@ func (o cliOptions) observability() (opts []dtaint.Option, flush func() error, e
 		if o.traceOut == "" {
 			return nil
 		}
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		if err := tracer.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(o.traceOut, tracer.WriteChromeTrace); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "dtaint: wrote trace to %s\n", o.traceOut)
@@ -244,16 +240,23 @@ func (o cliOptions) observability() (opts []dtaint.Option, flush func() error, e
 	return opts, flush, nil
 }
 
-// analysisOptions translates the analysis flags (-ablate, -vocab,
-// -cache-dir, and the given module filter and worker count) into
-// library options. Malformed ablation lists and vocabulary specs abort
-// here, before any analysis starts.
-func (o cliOptions) analysisOptions(module string, workers int) ([]dtaint.Option, error) {
+// analyzer builds the one Analyzer every mode runs: the observability
+// flags plus the analysis flags (-ablate, -vocab, -cache-dir, -workers,
+// and the given module filter). A negative budget, malformed ablation
+// lists, and vocabulary specs abort here, before any analysis starts.
+// flush is observability's trace writer.
+func (o cliOptions) analyzer(module string) (a *dtaint.Analyzer, flush func() error, err error) {
+	if o.workers < 0 {
+		return nil, nil, fmt.Errorf("-workers must be >= 0 (0 uses GOMAXPROCS), got %d", o.workers)
+	}
 	var ablated dataflow.Options
 	if err := ablated.Ablate(o.ablate); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var opts []dtaint.Option
+	opts, flush, err := o.observability()
+	if err != nil {
+		return nil, nil, err
+	}
 	if ablated.DisableAlias {
 		opts = append(opts, dtaint.WithoutAliasAnalysis())
 	}
@@ -269,34 +272,29 @@ func (o cliOptions) analysisOptions(module string, workers int) ([]dtaint.Option
 	if o.vocabPath != "" {
 		v, err := dtaint.LoadVocabulary(o.vocabPath)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		opts = append(opts, dtaint.WithVocabulary(v))
 	}
 	if filter := dtaint.StudyModuleFilter(module); filter != nil {
 		opts = append(opts, dtaint.WithFunctionFilter(filter))
 	}
-	if workers > 0 {
-		opts = append(opts, dtaint.WithParallelism(workers))
-	}
+	opts = append(opts, dtaint.WithWorkers(o.workers))
 	if o.cacheDir != "" {
 		c, err := dtaint.NewCache(o.cacheDir)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		opts = append(opts, dtaint.WithCache(c))
 	}
-	return opts, nil
+	return dtaint.New(opts...), flush, nil
 }
 
-// fleetOptions translates the shared orchestration flags (-workers,
-// -stall-timeout, -debug-dir) into fleet options for runFleet and
+// fleetOptions translates the shared orchestration flags
+// (-stall-timeout, -debug-dir) into fleet options for runFleet and
 // runDiff.
 func (o cliOptions) fleetOptions() []dtaint.FleetOption {
 	var fopts []dtaint.FleetOption
-	if o.workers > 0 {
-		fopts = append(fopts, dtaint.WithFleetWorkers(o.workers))
-	}
 	if o.stallWait > 0 {
 		fopts = append(fopts, dtaint.WithFleetStallTimeout(o.stallWait))
 	}
@@ -311,9 +309,6 @@ func (o cliOptions) fleetOptions() []dtaint.FleetOption {
 // total undeduplicated vulnerable-path count and the watchdog-stalled
 // binary count for -exit-code.
 func runFleet(o cliOptions) (int, int, error) {
-	if o.workers < 0 {
-		return 0, 0, fmt.Errorf("-workers must be >= 0 (0 uses GOMAXPROCS), got %d", o.workers)
-	}
 	if o.fwPath == "" {
 		return 0, 0, fmt.Errorf("-rootfs-all requires -fw")
 	}
@@ -321,16 +316,10 @@ func runFleet(o cliOptions) (int, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	aopts, flushTrace, err := o.observability()
+	a, flushTrace, err := o.analyzer("")
 	if err != nil {
 		return 0, 0, err
 	}
-	more, err := o.analysisOptions("", 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	aopts = append(aopts, more...)
-	a := dtaint.New(aopts...)
 	img, err := a.ScanFirmwareFleet(context.Background(), data, o.fleetOptions()...)
 	if err != nil {
 		return 0, 0, err
@@ -368,9 +357,6 @@ func runFleet(o cliOptions) (int, int, error) {
 // not when it merely carries known persisting ones, and the count of
 // binaries the stall watchdog abandoned.
 func runDiff(o cliOptions, oldPath, newPath string) (int, int, error) {
-	if o.workers < 0 {
-		return 0, 0, fmt.Errorf("-workers must be >= 0 (0 uses GOMAXPROCS), got %d", o.workers)
-	}
 	oldData, err := os.ReadFile(oldPath)
 	if err != nil {
 		return 0, 0, err
@@ -379,16 +365,11 @@ func runDiff(o cliOptions, oldPath, newPath string) (int, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	aopts, flushTrace, err := o.observability()
+	a, flushTrace, err := o.analyzer("")
 	if err != nil {
 		return 0, 0, err
 	}
-	more, err := o.analysisOptions("", 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	aopts = append(aopts, more...)
-	rep, err := dtaint.New(aopts...).ScanFirmwareDiff(context.Background(), oldData, newData, o.fleetOptions()...)
+	rep, err := a.ScanFirmwareDiff(context.Background(), oldData, newData, o.fleetOptions()...)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -396,15 +377,7 @@ func runDiff(o cliOptions, oldPath, newPath string) (int, int, error) {
 		return 0, 0, err
 	}
 	if o.mdOut != "" {
-		f, err := os.Create(o.mdOut)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := rep.WriteMarkdown(f); err != nil {
-			f.Close()
-			return 0, 0, err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(o.mdOut, rep.WriteMarkdown); err != nil {
 			return 0, 0, err
 		}
 		fmt.Printf("wrote %s\n", o.mdOut)
@@ -451,9 +424,6 @@ func runDiff(o cliOptions, oldPath, newPath string) (int, int, error) {
 }
 
 func run(o cliOptions) (int, error) {
-	if o.workers < 0 {
-		return 0, fmt.Errorf("-workers must be >= 0 (0 uses GOMAXPROCS), got %d", o.workers)
-	}
 	raw, err := loadExecutable(o.fwPath, o.exePath, o.binPath)
 	if err != nil {
 		return 0, err
@@ -471,16 +441,11 @@ func run(o cliOptions) (int, error) {
 		return 0, nil
 	}
 
-	aopts, flushTrace, err := o.observability()
+	a, flushTrace, err := o.analyzer(o.module)
 	if err != nil {
 		return 0, err
 	}
-	more, err := o.analysisOptions(o.module, o.workers)
-	if err != nil {
-		return 0, err
-	}
-	aopts = append(aopts, more...)
-	rep, err := dtaint.New(aopts...).AnalyzeExecutable(raw)
+	rep, err := a.AnalyzeExecutable(raw)
 	if err != nil {
 		return 0, err
 	}
@@ -490,15 +455,7 @@ func run(o cliOptions) (int, error) {
 	vulnPaths := len(rep.VulnerablePaths())
 
 	if o.mdOut != "" {
-		f, err := os.Create(o.mdOut)
-		if err != nil {
-			return 0, err
-		}
-		if err := rep.WriteMarkdown(f); err != nil {
-			f.Close()
-			return 0, err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(o.mdOut, rep.WriteMarkdown); err != nil {
 			return 0, err
 		}
 		fmt.Printf("wrote %s\n", o.mdOut)
@@ -512,8 +469,8 @@ func run(o cliOptions) (int, error) {
 		rep.Binary, rep.Arch, rep.Functions, rep.Blocks, rep.CallEdges)
 	fmt.Printf("analyzed %d functions, %d sink sites, %d indirect calls resolved\n",
 		rep.FunctionsAnalyzed, rep.SinkCount, rep.IndirectResolved)
-	fmt.Printf("symbolic analysis %v, data-flow generation %v (%d workers, %d components, critical path %d)\n\n",
-		rep.SSATime, rep.DDGTime, rep.DDGWorkers, rep.SCCComponents, rep.CriticalPath)
+	fmt.Printf("symbolic analysis %v, data-flow generation %v (%d components, critical path %d)\n\n",
+		rep.SSATime, rep.DDGTime, rep.SCCComponents, rep.CriticalPath)
 
 	switch {
 	case o.showAll:
@@ -570,6 +527,19 @@ func runTrace(fwPath, exePath, binPath, fnName string) error {
 	fmt.Printf("; %d states over %d blocks; %d definition pairs, %d constraints\n",
 		sum.StatesExplored, sum.BlocksAnalyzed, len(sum.DefPairs), len(sum.Constraints))
 	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // encodeJSON prints a report in its wire schema — the one dtaintd

@@ -31,9 +31,10 @@
 // cache fingerprints, so jobs with different vocabularies never share
 // cached results.
 //
-// Jobs run one at a time in arrival order; each job fans its image's
-// binaries out across -workers analyzer goroutines. The job queue is
-// bounded (-queue); a full queue answers 429 so load sheds at the edge
+// Jobs run one at a time in arrival order; each job spends a budget of
+// -workers goroutines on its image's binaries first, lending idle ones
+// to their analyses' parallel phases. The job queue is bounded
+// (-queue); a full queue answers 429 so load sheds at the edge
 // instead of piling up in memory. Reports are cached content-addressed
 // (SHA-256 of the binary plus the analyzer-options fingerprint), so
 // re-scanning an image — or a fleet of images sharing binaries — is
@@ -98,7 +99,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8214", "listen address (port 0 picks an ephemeral port)")
-		workers     = flag.Int("workers", 0, "binaries analyzed concurrently per job (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "worker budget per job, shared by its binaries and their analyses (0 = GOMAXPROCS)")
 		queueCap    = flag.Int("queue", 16, "maximum queued scan jobs before 429")
 		jobTimeout  = flag.Duration("binary-timeout", 10*time.Minute, "per-binary analysis timeout (0 = none)")
 		cacheDir    = flag.String("cache-dir", "", "persistent directory for the report cache and function-summary store (empty = memory only)")

@@ -26,7 +26,7 @@ import (
 
 // config tunes the scan service.
 type config struct {
-	// workers is the per-job orchestrator pool size (0 = GOMAXPROCS).
+	// workers is the per-job worker budget (0 = GOMAXPROCS).
 	workers int
 	// queueCap bounds the job queue; a full queue answers 429.
 	queueCap int

@@ -72,10 +72,10 @@ const (
 // ScanFirmwareFleet of the old image warms it), changed ones are
 // re-analyzed with unchanged functions replaying from its summary tier,
 // and findings are matched across versions so each classifies as new,
-// fixed, or persisting. The Analyzer's own
-// options apply to every analysis, and the same FleetOption set as
-// ScanFirmwareFleet — workers, timeout, stall watchdog, debug bundles,
-// caches, filters, progress — configures the binaries' runner.
+// fixed, or persisting. The Analyzer's own options and worker budget
+// (WithWorkers) apply to every analysis as in ScanFirmwareFleet, and
+// the same FleetOption set — timeout, stall watchdog, debug bundles,
+// filters, progress — configures the binaries' runner.
 func (a *Analyzer) ScanFirmwareDiff(ctx context.Context, oldImage, newImage []byte, opts ...FleetOption) (*DiffReport, error) {
 	fo := a.fleetOptions(opts)
 	rep, err := diff.Diff(ctx, oldImage, newImage, fo)

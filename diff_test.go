@@ -27,15 +27,13 @@ func TestScanFirmwareDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := dtaint.New(dtaint.WithCache(cache))
+	a := dtaint.New(dtaint.WithCache(cache), dtaint.WithWorkers(2))
 	// Nightly flow: the old version was already fleet-scanned through the
 	// same cache.
-	if _, err := a.ScanFirmwareFleet(context.Background(), vp.Old,
-		dtaint.WithFleetWorkers(2)); err != nil {
+	if _, err := a.ScanFirmwareFleet(context.Background(), vp.Old); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := a.ScanFirmwareDiff(context.Background(), vp.Old, vp.New,
-		dtaint.WithFleetWorkers(2))
+	rep, err := a.ScanFirmwareDiff(context.Background(), vp.Old, vp.New)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +73,7 @@ func TestScanFirmwareDiffIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := dtaint.New(dtaint.WithCache(cache))
+	a := dtaint.New(dtaint.WithCache(cache), dtaint.WithWorkers(2))
 	if _, err := a.ScanFirmwareFleet(context.Background(), fw); err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +102,7 @@ func TestDiffReportJSONRoundTripPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := dtaint.New().ScanFirmwareDiff(context.Background(), vp.Old, vp.New,
-		dtaint.WithFleetWorkers(1))
+	rep, err := dtaint.New(dtaint.WithWorkers(1)).ScanFirmwareDiff(context.Background(), vp.Old, vp.New)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,13 +127,14 @@ func WithLoopUnrolling(iters int) Option {
 	}
 }
 
-// WithParallelism sets the worker count for both analysis phases
-// (0 = GOMAXPROCS): the per-function phase fans out over independent
-// functions, and the bottom-up interprocedural phase schedules SCC
-// components of the condensed call graph as their callees complete.
-// Results are identical for every worker count.
-func WithParallelism(workers int) Option {
-	return func(a *Analyzer) { a.opts.Parallelism = workers }
+// WithWorkers sets the worker budget of every call: at most n
+// goroutines work at once (0, the default, uses GOMAXPROCS; image and
+// diff scans reject a negative n). One scheduler spends it on a scan's
+// binaries first and lends idle workers to each analysis's per-function
+// and SCC-component phases, so a one-binary image still uses every
+// worker. Results are identical for every budget.
+func WithWorkers(n int) Option {
+	return func(a *Analyzer) { a.opts.Parallelism = n }
 }
 
 // WithCache attaches a shared two-tier Cache. Every analysis looks
@@ -255,7 +256,9 @@ func WithVocabulary(v *Vocabulary) Option {
 // Analyzer runs the DTaint pipeline. The zero value is not usable; call
 // New.
 type Analyzer struct {
-	// opts carries the summary tier of the WithCache Cache.
+	// opts carries the summary tier of the WithCache Cache and, as
+	// Parallelism, the WithWorkers budget (in a scan that cap is a no-op:
+	// the scan's pool has no more slots).
 	opts dataflow.Options
 	// reports is the report tier of the WithCache Cache (nil = none).
 	reports *fleet.Cache

@@ -40,7 +40,7 @@ func ExampleNew() {
 	}
 	analyzer := dtaint.New(
 		dtaint.WithFunctionFilter(dtaint.StudyModuleFilter("IPC_6201")),
-		dtaint.WithParallelism(2),
+		dtaint.WithWorkers(2),
 	)
 	report, err := analyzer.AnalyzeFirmware(fw, "/usr/bin/mwareserver")
 	if err != nil {

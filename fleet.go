@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the public face of the fleet-scale scanning subsystem
-// (internal/fleet): whole-image scans over a bounded worker pool with a
-// content-addressed report cache, the workload shape of the paper's
+// (internal/fleet): whole-image scans over a bounded worker budget with
+// a content-addressed report cache, the workload shape of the paper's
 // evaluation (six study images, 115 binaries; a 6,529-image population).
 
 // The fleet report types are the internal wire types: what
@@ -96,22 +96,15 @@ func (c *Cache) Stats() (reports, summaries CacheStats) {
 // options.
 type FleetOption func(*fleet.Options)
 
-// fleetOptions applies opts over the Analyzer's own analysis options —
-// the one construction behind every image, corpus, and diff scan.
+// fleetOptions applies opts over the Analyzer's own analysis options and
+// worker budget — the one construction behind every image, corpus, and
+// diff scan.
 func (a *Analyzer) fleetOptions(opts []FleetOption) fleet.Options {
-	fo := fleet.Options{Analysis: a.traced(), Cache: a.reports, SummaryStore: a.opts.SummaryStore}
+	fo := fleet.Options{Workers: a.opts.Parallelism, Analysis: a.traced(), Cache: a.reports, SummaryStore: a.opts.SummaryStore}
 	for _, o := range opts {
 		o(&fo)
 	}
 	return fo
-}
-
-// WithFleetWorkers bounds how many binaries are analyzed concurrently
-// (0 = GOMAXPROCS). Per-binary analysis parallelism is set separately
-// via WithParallelism on the Analyzer and defaults to 1 inside a fleet
-// scan.
-func WithFleetWorkers(n int) FleetOption {
-	return func(o *fleet.Options) { o.Workers = n }
 }
 
 // WithFleetTimeout caps each binary's analysis wall-clock; timed-out
@@ -161,13 +154,16 @@ func WithFleetDebugDir(dir string) FleetOption {
 }
 
 // ScanFirmwareFleet unpacks a firmware image and analyzes every
-// executable in its root filesystem across a bounded worker pool — the
-// whole-image counterpart of AnalyzeFirmware. One corrupt binary cannot
-// kill the scan (panic isolation, per-binary timeouts), cancelling ctx
-// stops new work, and a Cache shared across calls (WithCache) makes
-// re-scans and binary-sharing fleets cheap. The Analyzer's own options
-// (filters, ablations, custom sources/sinks, parallelism) apply to
-// every binary.
+// executable in its root filesystem — the whole-image counterpart of
+// AnalyzeFirmware. The binaries and their analyses share the
+// Analyzer's worker budget (WithWorkers): binaries run concurrently
+// first, and an analysis borrows the workers left idle, so a
+// one-binary image is analyzed as fast as AnalyzeFirmware would. One
+// corrupt binary cannot kill the scan (panic isolation, per-binary
+// timeouts), cancelling ctx stops new work, and a Cache shared across
+// calls (WithCache) makes re-scans and binary-sharing fleets cheap. The
+// Analyzer's own options (filters, ablations, custom sources/sinks)
+// apply to every binary.
 func (a *Analyzer) ScanFirmwareFleet(ctx context.Context, data []byte, opts ...FleetOption) (*ImageReport, error) {
 	fo := a.fleetOptions(opts)
 	rep, err := fleet.ScanImage(ctx, data, fo)
@@ -183,7 +179,7 @@ func (a *Analyzer) ScanFirmwareFleet(ctx context.Context, data []byte, opts ...F
 // symbolically executed once per corpus. Attach a Cache with WithCache
 // to persist or reuse the tiers across calls; otherwise corpus-lifetime
 // in-memory tiers are created. Images are scanned sequentially, each
-// fanning its binaries across the worker pool; cancelling ctx stops new
+// spending the worker budget on its binaries; cancelling ctx stops new
 // work.
 func (a *Analyzer) ScanFirmwareCorpus(ctx context.Context, images [][]byte, opts ...FleetOption) (*CorpusReport, error) {
 	rep, err := fleet.ScanCorpus(ctx, images, a.fleetOptions(opts))

@@ -108,8 +108,7 @@ func TestScanFirmwareFleetProgressAndPathFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	var last, total int
-	img, err := dtaint.New().ScanFirmwareFleet(context.Background(), fw,
-		dtaint.WithFleetWorkers(2),
+	img, err := dtaint.New(dtaint.WithWorkers(2)).ScanFirmwareFleet(context.Background(), fw,
 		dtaint.WithFleetProgress(func(d, t int) { last, total = d, t }))
 	if err != nil {
 		t.Fatal(err)

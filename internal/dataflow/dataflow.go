@@ -22,16 +22,15 @@
 //     equivalence classes (alias.RewriteSSE), under -ablate sse via the
 //     paper's pairwise Algorithm 1.
 //
-// Both analysis phases are parallel. Phase 1's units are fully
-// independent and fan out over a flat worker pool. Phases 3+4 run under a
-// dependency-counting scheduler over the condensation: sibling components
-// of the SCC DAG have no ordering constraint, so workers pull ready
-// components (all callee components summarized) from a queue and
-// decrement caller in-degrees on completion. Every component is analyzed
-// by its own taint-tracker shard and the per-component findings are
-// concatenated in the condensation's topological order, so the output —
-// findings, their order, and every counter — is bit-identical for any
-// worker count, including the sequential schedule.
+// Both analysis phases run on one scheduler (package sched) over one
+// budget of worker slots (Options.Pool). Phase 1's units are independent
+// functions; phases 3+4 run the condensation's SCC components as a DAG,
+// a component ready once its callee components are summarized. Every
+// component is analyzed by its own taint-tracker shard and the
+// per-component findings are concatenated in the condensation's
+// topological order, so the output — findings, their order, and every
+// counter — is bit-identical for any worker count. A panic in any unit
+// fails the analysis with an error naming the function.
 //
 // The result carries every (source, path, sink) finding plus the
 // measurements the evaluation tables report.
@@ -40,10 +39,8 @@ package dataflow
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,6 +48,7 @@ import (
 	"dtaint/internal/expr"
 	"dtaint/internal/image"
 	"dtaint/internal/obs"
+	"dtaint/internal/sched"
 	"dtaint/internal/sse"
 	"dtaint/internal/structsim"
 	"dtaint/internal/sumstore"
@@ -104,13 +102,18 @@ type Options struct {
 	// already-summarized function. Results are bit-identical with and
 	// without a store, so the store is excluded from cache fingerprints.
 	SummaryStore *sumstore.Store
-	// Parallelism is the worker count for both analysis phases
-	// (0 = GOMAXPROCS). The per-function phase fans out over independent
-	// units; the bottom-up interprocedural phase schedules SCC components
-	// of the condensed call graph whose callees are all summarized, so
-	// sibling components run concurrently. Results are identical for any
-	// value, including 1 (the fully sequential schedule).
+	// Parallelism caps the goroutines that work on this analysis, in
+	// both phases: 1 is the sequential schedule and 0 means no cap
+	// beyond the pool. The per-function phase fans out over independent
+	// functions; the bottom-up phase runs SCC components of the
+	// condensed call graph whose callees are all summarized, so sibling
+	// components run concurrently. Results are identical for any value.
 	Parallelism int
+	// Pool is the worker-slot budget the analysis borrows goroutines
+	// from: a fleet scan's, shared by every binary in flight, or (nil) a
+	// private pool of Parallelism slots (0 = GOMAXPROCS). Like Tracer it
+	// never influences results and is excluded from fingerprints.
+	Pool *sched.Pool
 
 	// Tracer records pipeline-stage spans (nil = telemetry off). It is
 	// the analysis's only telemetry handle: every count a stage reports
@@ -246,7 +249,8 @@ func (a *AliasStats) Merge(b AliasStats) {
 
 // ParallelStats describes one parallel bottom-up interprocedural pass.
 type ParallelStats struct {
-	// Workers is the worker count the SCC-DAG scheduler ran with.
+	// Workers is the most goroutines the SCC-DAG pass could run on: the
+	// pool's size, capped by Parallelism and the component count.
 	Workers int
 	// Components is the number of call-graph SCC components scheduled.
 	Components int
@@ -304,6 +308,10 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 		opts.Symexec.Prototypes = taint.PrototypesFor(opts.Vocab)
 	}
 
+	if opts.Pool == nil {
+		opts.Pool = sched.NewPool(opts.Parallelism)
+	}
+
 	res := &Result{Summaries: make(map[string]*symexec.Summary, len(names))}
 
 	// The summary-store fingerprinter keys both cached granularities.
@@ -320,12 +328,15 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 	// module). Scratch trackers supply library models; their findings are
 	// discarded — this phase only exists to collect layouts, types, and
 	// indirect callsites. Functions are independent, so the phase fans
-	// out across workers (each with its own tracker).
+	// out across workers (each unit with its own tracker).
 	t0 := time.Now()
 	st := opts.Tracer.Start(opts.ParentSpan, "function-analysis", obs.KV("functions", len(names)))
-	phase1 := runPhase1(prog, names, opts, fp, res, st)
+	phase1, err := runPhase1(prog, names, opts, fp, res, st)
 	res.SSATime = time.Since(t0)
 	st.End()
+	if err != nil {
+		return nil, err
+	}
 
 	// Phase 2: indirect-call resolution. By default each callsite is
 	// resolved from SSE equivalence classes (registration and dispatch
@@ -356,11 +367,14 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 	cond := prog.Condense(names)
 	st = opts.Tracer.Start(opts.ParentSpan, "interproc-dataflow",
 		obs.KV("functions", len(names)), obs.KV("components", len(cond.Comps)))
-	runBottomUp(prog, cond, opts, fp, res, st)
+	err = runBottomUp(prog, cond, opts, fp, res, st)
 	res.DDGTime = time.Since(t1)
-	st.End(obs.KV("workers", res.Parallel.Workers), obs.KV("findings", len(res.Findings)),
+	st.End(obs.KV("findings", len(res.Findings)),
 		obs.KV("defpairs", res.DefPairCount), obs.KV("truncated", res.Truncated),
 		obs.KV("alias_added", res.Alias.Added), obs.KV("alias_dropped", res.Alias.Dropped))
+	if err != nil {
+		return nil, err
+	}
 
 	st = opts.Tracer.Start(opts.ParentSpan, "count-sinks")
 	res.SinkCount = countSinks(prog, names, res.Summaries, opts)
@@ -376,14 +390,7 @@ func Analyze(prog *cfg.Program, opts Options) (*Result, error) {
 // phase 1 applies no callee summaries and its scratch tracker's
 // side-effects are discarded, so a stored summary replays the unit
 // exactly, and skipping the execution cannot affect any other unit.
-func runPhase1(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fingerprinter, res *Result, stageSpan *obs.Span) map[string]*symexec.Summary {
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(names) {
-		workers = len(names)
-	}
+func runPhase1(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fingerprinter, res *Result, stageSpan *obs.Span) (map[string]*symexec.Summary, error) {
 	store := opts.SummaryStore
 	var keys []string
 	if store != nil {
@@ -394,61 +401,56 @@ func runPhase1(prog *cfg.Program, names []string, opts Options, fp *sumstore.Fin
 			keys[i] = fp.FuncKey(name)
 		}
 	}
+	base := newTracker(opts, prog.Binary)
 	var hits, misses atomic.Int64
-	analyzeOne := func(scratch *taint.Tracker, i int, name string) *symexec.Summary {
-		sp := stageSpan.StartChild("ssa-function", obs.KV("fn", name))
+	sums := make([]*symexec.Summary, len(names))
+	err := opts.Pool.Run(len(names), opts.Parallelism, nil, nil, func(i int) {
+		sp := stageSpan.StartChild("ssa-function", obs.KV("fn", names[i]))
 		if store != nil {
 			if sum, ok := store.GetSummary(keys[i]); ok {
 				hits.Add(1)
 				sp.End(obs.KV("replayed", true))
-				return sum
+				sums[i] = sum
+				return
 			}
 		}
-		scratch.BeginFunction(name)
-		sum := symexec.Analyze(prog.ByName[name], prog.Binary, scratch, opts.Symexec)
-		sp.End(obs.KV("states", sum.StatesExplored))
+		scratch := base.Shard()
+		scratch.BeginFunction(names[i])
+		sums[i] = execute(prog.ByName[names[i]], prog.Binary, scratch, opts.Symexec)
+		sp.End(obs.KV("states", sums[i].StatesExplored))
 		if store != nil {
 			misses.Add(1)
-			store.PutSummary(keys[i], sum)
+			store.PutSummary(keys[i], sums[i])
 		}
-		return sum
-	}
-	sums := make([]*symexec.Summary, len(names))
-	if workers <= 1 {
-		scratch := newTracker(opts, prog.Binary)
-		for i, name := range names {
-			sums[i] = analyzeOne(scratch, i, name)
-		}
-	} else {
-		var wg sync.WaitGroup
-		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				scratch := newTracker(opts, prog.Binary)
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(names) {
-						return
-					}
-					sums[i] = analyzeOne(scratch, i, names[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	res.SumStore.Hits += int(hits.Load())
 	res.SumStore.Misses += int(misses.Load())
 	if store != nil {
 		stageSpan.SetAttr("store_hits", int(hits.Load()))
 		stageSpan.SetAttr("store_misses", int(misses.Load()))
 	}
+	if err != nil {
+		return nil, panicked(err, func(i int) string { return names[i] })
+	}
 	out := make(map[string]*symexec.Summary, len(names))
 	for i, name := range names {
 		out[name] = sums[i]
 	}
-	return out
+	return out, nil
+}
+
+// execute is the per-function symbolic engine of both phases; a
+// variable so tests can substitute a panicking engine.
+var execute = symexec.Analyze
+
+// panicked turns a scheduler error into the analysis error, naming the
+// function (fn of the unit index) whose analysis panicked.
+func panicked(err error, fn func(unit int) string) error {
+	var p *sched.Panic
+	if errors.As(err, &p) {
+		return fmt.Errorf("dataflow: panicked in %s: %v", fn(p.Unit), p.Value)
+	}
+	return err
 }
 
 func filteredNames(prog *cfg.Program, filter func(string) bool) []string {

@@ -161,7 +161,8 @@ type Report struct {
 	// Binaries lists every pair, sorted by Path.
 	Binaries []BinaryDiff `json:"binaries"`
 
-	// Workers is the analysis pool size; Wall the whole-diff wall clock.
+	// Workers is the worker budget the binaries and their analyses
+	// shared; Wall the whole-diff wall clock.
 	Workers int           `json:"workers"`
 	Wall    time.Duration `json:"wallNanos"`
 	// Cache snapshots the report cache's lifetime counters when the diff

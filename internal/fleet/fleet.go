@@ -19,24 +19,27 @@ import (
 	"dtaint/internal/image"
 	"dtaint/internal/obs"
 	"dtaint/internal/obs/events"
+	"dtaint/internal/sched"
 	"dtaint/internal/sumstore"
 )
 
 // Options configures an image scan, and also a differential scan
 // (diff.Options is an alias): both run their binaries through RunWaves.
 type Options struct {
-	// Workers bounds the orchestrator pool: how many binaries are
-	// analyzed concurrently (0 = GOMAXPROCS, negative is rejected).
+	// Workers is the run's worker budget (0 = GOMAXPROCS, negative is
+	// rejected): one pool of slots shared by the binaries in flight and,
+	// through Analysis.Pool, by their analyses, which borrow only the
+	// slots the wave leaves idle. At most Workers goroutines work at once.
 	Workers int
 	// PerBinaryTimeout caps one binary's analysis wall-clock (0 = no
 	// cap). A timed-out binary is reported as StatusTimeout; its
 	// analysis goroutine is abandoned and exits when the analyzer
 	// returns (the engine is CPU-bound and not interruptible).
 	PerBinaryTimeout time.Duration
-	// Analysis configures the per-binary analyzer. If
-	// Analysis.Parallelism is 0 the orchestrator sets it to 1: with many
-	// binaries in flight, one worker per binary maximizes throughput,
-	// and results are identical either way.
+	// Analysis configures the per-binary analyzer. Its Parallelism caps
+	// the goroutines one binary's analysis may use (0 = no cap beyond
+	// Workers, 1 = sequential); RunWaves sets its Pool. Results are
+	// identical for any setting.
 	Analysis dataflow.Options
 	// FilterTag names Analysis.Filter for cache-key purposes (function
 	// values cannot be fingerprinted). Caching is bypassed when
@@ -81,30 +84,26 @@ type Options struct {
 	// watchdog is the armed stall watchdog RunWaves shares with its
 	// workers (nil when StallTimeout is 0).
 	watchdog *events.Watchdog
+}
 
-	// inflight deduplicates concurrent analyses of identical binaries
-	// within one run (set by RunWaves when a cache is configured):
-	// the first worker to reach a cache key analyzes, the rest wait and
-	// re-read the cache.
-	inflight *flightGroup
+// cacheable reports whether binaries replay from and fill the report
+// cache: an untagged function filter cannot be part of the cache key.
+func (o Options) cacheable() bool {
+	return o.Cache != nil && (o.Analysis.Filter == nil || o.FilterTag != "")
 }
 
 // ErrBadWorkers reports a negative worker count.
 var ErrBadWorkers = errors.New("fleet: workers must be >= 0 (0 uses GOMAXPROCS)")
 
 // Prepare validates opts and applies the defaults every scan shares:
-// Workers 0 becomes GOMAXPROCS, Analysis.Parallelism 0 becomes 1, and
-// SummaryStore is attached to the analysis. It is idempotent; RunWaves
-// expects prepared options.
+// Workers 0 becomes GOMAXPROCS and SummaryStore is attached to the
+// analysis. It is idempotent; RunWaves expects prepared options.
 func Prepare(opts Options) (Options, error) {
 	if opts.Workers < 0 {
 		return opts, ErrBadWorkers
 	}
 	if opts.Workers == 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Analysis.Parallelism == 0 {
-		opts.Analysis.Parallelism = 1
 	}
 	if opts.SummaryStore != nil {
 		opts.Analysis.SummaryStore = opts.SummaryStore
@@ -190,24 +189,20 @@ func ScanImage(ctx context.Context, data []byte, opts Options) (*ImageReport, er
 }
 
 // RunWaves takes waves of rootfs binaries through the per-binary runner
-// over a bounded worker pool, returning one BinaryScan per file, wave by
-// wave in input order. Every binary of a wave finishes before the next
-// wave starts, so a later wave sees the summaries and cache entries an
-// earlier one wrote. One "binaries" stage span spans all waves and
+// on one pool of opts.Workers slots, returning one BinaryScan per file,
+// wave by wave in input order. Every binary of a wave finishes before
+// the next wave starts, so a later wave sees the summaries and cache
+// entries an earlier one wrote. One "binaries" stage span spans all waves and
 // declares their total, so the progress count runs across all waves;
-// one stall watchdog (StallTimeout) watches the whole run, and identical
-// binaries in flight at once are analyzed once. hdr names the image in
-// the stage span and the watchdog's partial report. opts must come from
-// Prepare.
+// one stall watchdog (StallTimeout) watches the whole run, and with a
+// cache identical binaries are analyzed once (see repeats). hdr names
+// the image in the stage span and the watchdog's partial report. opts
+// must come from Prepare.
 func RunWaves(ctx context.Context, hdr firmware.Header, waves [][]firmware.File, opts Options) [][]BinaryScan {
 	total := 0
 	for _, wave := range waves {
 		total += len(wave)
 	}
-	if opts.Cache != nil {
-		opts.inflight = newFlightGroup()
-	}
-
 	// completed collects finished binaries in completion order for the
 	// watchdog's partial report (the result slices have holes mid-run);
 	// done feeds the caller's progress callback.
@@ -215,11 +210,7 @@ func RunWaves(ctx context.Context, hdr firmware.Header, waves [][]firmware.File,
 		mu        sync.Mutex
 		completed []BinaryScan
 		done      int
-		progress  = opts.Progress
 	)
-	if progress == nil {
-		progress = func(int, int) {}
-	}
 	// The stall watchdog watches the run's span stream; a run armed
 	// without a caller-supplied tracer gets a private one for the call.
 	if opts.StallTimeout > 0 {
@@ -240,35 +231,54 @@ func RunWaves(ctx context.Context, hdr firmware.Header, waves [][]firmware.File,
 	defer stage.End()
 	opts.Analysis.ParentSpan = stage
 
+	pool := sched.NewPool(opts.Workers)
+	opts.Analysis.Pool = pool
 	out := make([][]BinaryScan, len(waves))
 	for w, wave := range waves {
 		res := make([]BinaryScan, len(wave))
 		out[w] = res
-		workers := min(opts.Workers, len(wave))
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					bs := scanOne(ctx, wave[i], opts)
-					res[i] = bs
-					mu.Lock()
-					completed = append(completed, bs)
-					done++
-					progress(done, total)
-					mu.Unlock()
+		var deps []int
+		var next [][]int
+		if opts.cacheable() {
+			deps, next = repeats(wave)
+		}
+		err := pool.Run(len(wave), 0, deps, next, func(i int) {
+			bs := scanOne(ctx, wave[i], opts)
+			res[i] = bs
+			mu.Lock()
+			completed = append(completed, bs)
+			done++
+			if opts.Progress != nil {
+				opts.Progress(done, total)
+			}
+			mu.Unlock()
+		})
+		if err != nil { // the runner panicked: unfinished binaries fail
+			for i, f := range wave {
+				if res[i].Path == "" {
+					res[i] = BinaryScan{Path: f.Path, Status: StatusFailed, Error: err.Error()}
 				}
-			}()
+			}
 		}
-		for i := range wave {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
 	}
 	return out
+}
+
+// repeats makes every copy of a binary in a wave depend on its previous
+// copy (firmware ships busybox at many paths), so a copy replays the
+// report the previous one cached — or analyzes, if that one failed.
+func repeats(wave []firmware.File) (deps []int, next [][]int) {
+	deps, next = make([]int, len(wave)), make([][]int, len(wave))
+	last := make(map[[sha256.Size]byte]int)
+	for i, f := range wave {
+		sum := sha256.Sum256(f.Data)
+		if j, ok := last[sum]; ok {
+			deps[i] = 1
+			next[j] = append(next[j], i)
+		}
+		last[sum] = i
+	}
+	return deps, next
 }
 
 // partialReportWriter returns the watchdog's partial-report callback: a
@@ -293,8 +303,7 @@ func partialReportWriter(hdr firmware.Header, total int, mu *sync.Mutex, complet
 	}
 }
 
-// scanOne is the per-binary runner: cache lookup (with in-flight dedup),
-// then a fresh analysis under panic isolation, the per-binary deadline,
+// scanOne is the per-binary runner: cache lookup, then a fresh analysis under panic isolation, the per-binary deadline,
 // and the stall watchdog.
 func scanOne(ctx context.Context, f firmware.File, opts Options) BinaryScan {
 	sum := sha256.Sum256(f.Data)
@@ -310,26 +319,15 @@ func scanOne(ctx context.Context, f firmware.File, opts Options) BinaryScan {
 		span.End()
 	}()
 
-	cacheable := opts.Cache != nil && (opts.Analysis.Filter == nil || opts.FilterTag != "")
+	cacheable := opts.cacheable()
 	var key string
 	if cacheable {
 		key = Key(f.Data, Fingerprint(opts.Analysis, opts.FilterTag))
-		for {
-			if v, ok := opts.Cache.Get(key); ok {
-				bs.Status = StatusCached
-				bs.Analysis = v
-				return bs
-			}
-			if opts.inflight.begin(key) {
-				break // leader: analyze and fill the cache
-			}
-			// An identical binary is being analyzed by another worker
-			// right now: wait for it and retry the cache. If the leader
-			// failed (no cache entry), the retry misses and this worker
-			// takes over as leader.
-			opts.inflight.wait(key)
+		if v, ok := opts.Cache.Get(key); ok {
+			bs.Status = StatusCached
+			bs.Analysis = v
+			return bs
 		}
-		defer opts.inflight.finish(key)
 	}
 	// Cancellation stops new analyses; a cache hit above costs nothing
 	// and still replays.
@@ -441,7 +439,6 @@ func analyzeBinary(f firmware.File, aopts dataflow.Options) (*BinaryAnalysis, er
 		Truncated:         res.Truncated,
 		SSATime:           res.SSATime,
 		DDGTime:           res.DDGTime,
-		DDGWorkers:        res.Parallel.Workers,
 		SCCComponents:     res.Parallel.Components,
 		CriticalPath:      res.Parallel.CriticalPath,
 		SummaryHits:       res.SumStore.Hits,

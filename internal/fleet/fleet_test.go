@@ -4,10 +4,12 @@ import (
 	"context"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dtaint/internal/asm"
+	"dtaint/internal/corpus"
 	"dtaint/internal/dataflow"
 	"dtaint/internal/firmware"
 	"dtaint/internal/obs"
@@ -163,22 +165,33 @@ func TestScanImageFindsVulnerabilities(t *testing.T) {
 }
 
 // TestScanImageDeterministic is the worker-count determinism guarantee:
-// identical ImageReports (timings aside) for pools of 1, 4, and 8.
+// identical ImageReports (timings aside) for pools of 1, 4, and 8 — on
+// a three-binary image and on the one-binary DIR-645 study image, whose
+// analysis borrows every worker its wave leaves idle.
 func TestScanImageDeterministic(t *testing.T) {
-	img := twoBinaryImage(t)
-	var base *ImageReport
-	for _, workers := range []int{1, 4, 8} {
-		rep, err := ScanImage(context.Background(), img, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		n := normalize(rep)
-		if base == nil {
-			base = n
-			continue
-		}
-		if !reflect.DeepEqual(base, n) {
-			t.Fatalf("workers=%d: report differs from 1-worker report\n got %+v\nwant %+v", workers, n, base)
+	spec, ok := corpus.SpecByProduct("DIR-645")
+	if !ok {
+		t.Fatal("DIR-645 spec missing")
+	}
+	single, _, err := corpus.BuildFirmware(spec, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, img := range [][]byte{twoBinaryImage(t), single} {
+		var base *ImageReport
+		for _, workers := range []int{1, 4, 8} {
+			rep, err := ScanImage(context.Background(), img, Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			n := normalize(rep)
+			if base == nil {
+				base = n
+				continue
+			}
+			if !reflect.DeepEqual(base, n) {
+				t.Fatalf("workers=%d: report differs from 1-worker report\n got %+v\nwant %+v", workers, n, base)
+			}
 		}
 	}
 }
@@ -215,6 +228,31 @@ func TestScanImageCache(t *testing.T) {
 	if rep1.Vulnerabilities != rep2.Vulnerabilities || rep1.VulnerablePaths != rep2.VulnerablePaths {
 		t.Fatalf("cached totals diverge: %d/%d vs %d/%d",
 			rep1.Vulnerabilities, rep1.VulnerablePaths, rep2.Vulnerabilities, rep2.VulnerablePaths)
+	}
+}
+
+// Copies of one binary are analyzed once even when workers are free to
+// run them together: each copy waits for the previous one and replays
+// its cached report.
+func TestScanImageRepeatsAnalyzedOnce(t *testing.T) {
+	orig := analyze
+	defer func() { analyze = orig }()
+	var calls atomic.Int32
+	analyze = func(f firmware.File, o dataflow.Options) (*BinaryAnalysis, error) {
+		calls.Add(1)
+		time.Sleep(20 * time.Millisecond) // a window for a concurrent copy to start in
+		return orig(f, o)
+	}
+	cache, err := NewCache(16, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ScanImage(context.Background(), twoBinaryImage(t), Options{Cache: cache, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 2 || rep.Scanned != 2 || rep.Cached != 1 {
+		t.Fatalf("%d analyses, scanned/cached = %d/%d, want 2 and 2/1", calls.Load(), rep.Scanned, rep.Cached)
 	}
 }
 

@@ -179,11 +179,9 @@ type BinaryAnalysis struct {
 	// Table VII columns).
 	SSATime time.Duration `json:"ssaNanos"`
 	DDGTime time.Duration `json:"ddgNanos"`
-	// DDGWorkers, SCCComponents, and CriticalPath describe the parallel
-	// bottom-up phase: the worker count its SCC-DAG scheduler ran with,
-	// the number of call-graph components scheduled, and the longest
-	// chain of dependent components (the parallelism ceiling).
-	DDGWorkers    int `json:"ddgWorkers"`
+	// SCCComponents and CriticalPath describe the parallel bottom-up
+	// phase: the number of call-graph components scheduled and the
+	// longest chain of dependent components (the parallelism ceiling).
 	SCCComponents int `json:"sccComponents"`
 	CriticalPath  int `json:"criticalPath"`
 	// SummaryHits/SummaryMisses count the producing run's function-summary
@@ -272,7 +270,8 @@ type ImageReport struct {
 	// FindingsByClass counts deduplicated vulnerabilities per class.
 	FindingsByClass map[Class]int `json:"findingsByClass"`
 
-	// Workers is the orchestrator pool size the scan ran with.
+	// Workers is the worker budget the scan ran with: binaries and their
+	// analyses shared this many slots.
 	Workers int `json:"workers"`
 	// Wall is the whole-image wall-clock time.
 	Wall time.Duration `json:"wallNanos"`

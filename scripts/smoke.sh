@@ -7,7 +7,8 @@
 # report finds at least one vulnerability and has the same top-level
 # keys as dtaint -rootfs-all -json (one report schema), dtaint
 # -rootfs-all -progress prints function and binary progress lines
-# without -trace-out, a second dtaint -rootfs-all run over one
+# without -trace-out, dtaint -rootfs-all prints the same report at
+# -workers 1 and 2 (timings aside), a second dtaint -rootfs-all run over one
 # -cache-dir replays cached binaries and the directory holds both
 # report (*.json) and summary (*.dtss) entries, /v1/metrics speaks
 # Prometheus text to a text/plain client, and the log stream contains a
@@ -130,6 +131,16 @@ grep -Eq '^dtaint: function-analysis: [0-9]+/[0-9]+ functions \([0-9]+%\)' "$tmp
 	{ echo "smoke: no function-analysis progress line:"; cat "$tmp/progress.txt"; exit 1; }
 grep -Eq '^dtaint: scanned .* \((ok|cached)\) in ' "$tmp/progress.txt" ||
 	{ echo "smoke: no per-binary scanned line:"; cat "$tmp/progress.txt"; exit 1; }
+
+echo ">> smoke: dtaint -rootfs-all output is identical at -workers 1 and 2"
+# The one-binary image's analysis borrows the worker its wave leaves
+# idle at -workers 2; only the timings may differ.
+for w in 1 2; do
+	"$tmp/dtaint" -fw "$tmp/corpus/DIR-645.fwimg" -rootfs-all -workers "$w" |
+		sed -e 's/; wall .*$//' -e 's/ *([^)]*)$//' >"$tmp/workers-$w.txt"
+done
+cmp -s "$tmp/workers-1.txt" "$tmp/workers-2.txt" ||
+	{ diff "$tmp/workers-1.txt" "$tmp/workers-2.txt"; echo "smoke: -rootfs-all output depends on -workers"; exit 1; }
 
 echo ">> smoke: one dtaint -cache-dir feeds both cache tiers"
 for run in cold warm; do

@@ -202,7 +202,7 @@ func TestVocabularyDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := dtaint.New(dtaint.WithVocabulary(v), dtaint.WithParallelism(workers)).
+		rep, err := dtaint.New(dtaint.WithVocabulary(v), dtaint.WithWorkers(workers)).
 			AnalyzeFirmware(fw, "/htdocs/cgibin")
 		if err != nil {
 			t.Fatal(err)
